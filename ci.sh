@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, release build, full test suite (incl. doc
-# tests), warning-free clippy, the chaos determinism smoke, the
-# crash/resume smoke, the trace determinism smoke, the cross-run diff
-# smoke (self-diff empty, cross-seed divergence deterministic, corpus
-# replay byte-identical), the counterfactual SPOF smoke (seeded sweeps
+# tests and every member crate's tests), warning-free clippy, the chaos
+# determinism smoke, the crash/resume smoke, the trace determinism
+# smoke, the trace and journal byte pins (corpus/persist), the
+# cross-run diff smoke (self-diff empty, cross-seed divergence
+# deterministic, corpus replay byte-identical), the counterfactual SPOF smoke (seeded sweeps
 # byte-identical across runs and worker counts, and matching the
 # checked-in corpus artifact), the smell smoke (trace-cited operational
 # smell verdicts byte-stable across runs and worker counts, every
@@ -22,6 +23,9 @@ cargo build --release
 
 echo "== tests =="
 cargo test -q
+
+echo "== member-crate tests =="
+cargo test --workspace --exclude govdns -q
 
 echo "== doc tests =="
 cargo test -q --doc
@@ -96,6 +100,12 @@ cmp "$trace_dir/w1.trace" "$trace_dir/w8.trace" || {
 }
 diff -u "$trace_dir/w1.out" "$trace_dir/w8.out"
 grep -q "trace fingerprint" "$trace_dir/w1.out"
+
+echo "== persist pins: trace and journal bytes match corpus/persist =="
+# The smokes above compare two runs of one commit, which a consistent
+# re-encoding would pass; these fingerprints were taken from the bytes an
+# earlier commit wrote.
+python3 corpus/persist/check_pins.py trace "$trace_dir/w1.trace" journal "$resume_dir/full.journal"
 
 echo "== diff smoke: self-diff empty, cross-seed diff deterministic, corpus replays =="
 diff_dir="$(mktemp -d)"

@@ -1,37 +1,34 @@
 //! Write-ahead observation journal: crash-safe campaign persistence.
 //!
 //! Every completed [`DomainProbe`] is appended to an on-disk journal as
-//! a length-prefixed, checksummed JSON record, and the full mutable
-//! pipeline state (rate-limiter ledger, network accounting, resolver
-//! cache, circuit breakers) is checkpointed every few probes. A
-//! campaign killed mid-flight is resumed by replaying the journal: the
-//! runner restores the checkpointed state, fills in the already-probed
-//! domains, and re-probes only the remainder — producing a dataset
-//! byte-identical to the uninterrupted run (see `runner.rs`).
+//! a checksummed JSON record, and the full mutable pipeline state
+//! (rate-limiter ledger, network accounting, resolver cache, circuit
+//! breakers) is checkpointed every few probes. A campaign killed
+//! mid-flight is resumed by replaying the journal: the runner restores
+//! the checkpointed state, fills in the already-probed domains, and
+//! re-probes only the remainder — producing a dataset byte-identical to
+//! the uninterrupted run (see `runner.rs`).
 //!
 //! # Record framing
 //!
-//! ```text
-//! J1 <16-hex fnv64(payload)> <8-hex payload length>\n
-//! <payload>\n
-//! ```
-//!
-//! The payload is a single JSON object with a `"kind"` field: `header`
-//! (config echo + discovered-name fingerprint, always first), `probe`
-//! (one observation), `checkpoint` (full pipeline state), `resumed`
-//! (a resume boundary marker), or `complete` (clean end-of-campaign).
-//! A torn or corrupt tail — the half-written record a crash leaves
-//! behind — fails its length or checksum test and is silently dropped;
+//! Records are `J1` frames of [`govdns_model::persist`]: a 29-byte
+//! header (`J1`, the payload's FNV-1a 64 checksum and its length) and a
+//! canonical-JSON payload. The payload is a single object with a
+//! `"kind"` field: `header` (config echo + discovered-name fingerprint,
+//! always first), `probe` (one observation), `checkpoint` (full pipeline
+//! state), `resumed` (a resume boundary marker), or `complete` (clean
+//! end-of-campaign). A torn or corrupt tail — the half-written record a
+//! crash leaves behind — fails its frame test and is silently dropped;
 //! everything before it is intact by construction (records are flushed
 //! in order). A record that passes its checksum but fails to decode is
-//! a version mismatch and panics.
+//! a version mismatch, and [`JournalReplay::load`] panics on it.
 
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
+use govdns_model::persist::{parse, read_frame, write_frame, Value};
 use govdns_model::{DomainName, RecordData, RecordType, ResourceRecord, Soa};
 use govdns_simnet::{CacheEntry, FaultStats, TrafficStats};
 
@@ -198,12 +195,11 @@ impl JournalWriter {
     /// (a checkpoint, an explicit [`flush`](JournalWriter::flush), drop,
     /// or the buffer passing the flush threshold).
     pub fn probe(&mut self, index: u64, probe: &DomainProbe) {
-        let mut obj = vec![
-            ("kind".to_string(), Value::str("probe")),
-            ("index".to_string(), Value::Num(index)),
-            ("probe".to_string(), probe_to_value(probe)),
-        ];
-        self.write_record(&Value::Obj(std::mem::take(&mut obj)));
+        self.write_record(&Value::obj(vec![
+            ("kind", "probe".into()),
+            ("index", Value::Num(index)),
+            ("probe", probe_to_value(probe)),
+        ]));
         if self.buf.len() >= self.flush_threshold {
             self.flush();
         }
@@ -219,9 +215,9 @@ impl JournalWriter {
     /// Marks a resume boundary: a fresh process picked the campaign up
     /// with `probes_done` observations already replayed. Flushes.
     pub fn resumed(&mut self, probes_done: u64) {
-        self.write_record(&Value::Obj(vec![
-            ("kind".to_string(), Value::str("resumed")),
-            ("probes_done".to_string(), Value::Num(probes_done)),
+        self.write_record(&Value::obj(vec![
+            ("kind", "resumed".into()),
+            ("probes_done", Value::Num(probes_done)),
         ]));
         self.flush();
     }
@@ -229,9 +225,9 @@ impl JournalWriter {
     /// Marks a clean end of campaign after `probes` observations.
     /// Flushes.
     pub fn complete(&mut self, probes: u64) {
-        self.write_record(&Value::Obj(vec![
-            ("kind".to_string(), Value::str("complete")),
-            ("probes".to_string(), Value::Num(probes)),
+        self.write_record(&Value::obj(vec![
+            ("kind", "complete".into()),
+            ("probes", Value::Num(probes)),
         ]));
         self.flush();
     }
@@ -259,14 +255,7 @@ impl JournalWriter {
     }
 
     fn write_record(&mut self, value: &Value) {
-        let mut payload = String::new();
-        value.encode(&mut payload);
-        let _ = write!(
-            self.buf,
-            "J1 {:016x} {:08x}\n{payload}\n",
-            fnv64(payload.as_bytes()),
-            payload.len()
-        );
+        write_frame(&mut self.buf, b"J1", &value.to_json());
         self.records += 1;
     }
 }
@@ -318,18 +307,13 @@ impl JournalReplay {
             .unwrap_or_else(|e| panic!("journal: cannot read {}: {e}", path.display()));
         let mut offset = 0usize;
         let mut records: Vec<Value> = Vec::new();
-        while offset < bytes.len() {
-            match read_frame(&bytes, offset) {
-                Some((payload, next)) => {
-                    let value = parse_json(payload).unwrap_or_else(|e| {
-                        panic!("journal: {} record {}: {e}", path.display(), records.len())
-                    });
-                    records.push(value);
-                    offset = next;
-                }
-                // Torn tail: drop the remainder.
-                None => break,
-            }
+        // A torn tail ends the walk; everything from it on is dropped.
+        while let Some((payload, next)) = read_frame(&bytes, offset, b"J1") {
+            let value = parse(payload).unwrap_or_else(|e| {
+                panic!("journal: {} record {}: {e}", path.display(), records.len())
+            });
+            records.push(value);
+            offset = next;
         }
         let dropped_bytes = (bytes.len() - offset) as u64;
         let first = records
@@ -341,25 +325,29 @@ impl JournalReplay {
             "journal: {} does not begin with a header record",
             path.display()
         );
-        let header = header_from_value(first);
+        let header = expect_decoded(path, 0, header_from_value(first));
 
         let mut probes: Vec<DomainProbe> = Vec::new();
         let mut checkpoint: Option<Checkpoint> = None;
         let mut resumes = 0u64;
         let mut completed = false;
-        for record in &records[1..] {
+        for (i, record) in records.iter().enumerate().skip(1) {
             match record.get("kind").and_then(Value::as_str) {
                 Some("probe") => {
-                    let index = record.get("index").and_then(Value::as_num).expect("probe index");
+                    let index = expect_decoded(path, i, record.field("index", Value::as_u64));
                     // Only the contiguous prefix is trustworthy: with a
                     // single worker this is every record, with many it
                     // is everything up to the first gap.
                     if index == probes.len() as u64 {
-                        probes.push(probe_from_value(record.get("probe").expect("probe payload")));
+                        probes.push(expect_decoded(
+                            path,
+                            i,
+                            record.field("probe", probe_from_value),
+                        ));
                     }
                 }
                 Some("checkpoint") => {
-                    let cp = checkpoint_from_value(record);
+                    let cp = expect_decoded(path, i, checkpoint_from_value(record));
                     if cp.probes_done <= probes.len() as u64
                         && checkpoint.as_ref().is_none_or(|b| cp.probes_done >= b.probes_done)
                     {
@@ -383,339 +371,43 @@ impl JournalReplay {
     }
 }
 
-/// Reads one frame starting at `offset`; returns the payload slice and
-/// the offset past the frame, or `None` if the frame is incomplete or
-/// fails its checksum.
-fn read_frame(bytes: &[u8], offset: usize) -> Option<(&str, usize)> {
-    // "J1 " + 16 hex + " " + 8 hex + "\n" = 29 bytes.
-    let head = bytes.get(offset..offset + 29)?;
-    if &head[..3] != b"J1 " || head[19] != b' ' || head[28] != b'\n' {
-        return None;
-    }
-    let sum = u64::from_str_radix(std::str::from_utf8(&head[3..19]).ok()?, 16).ok()?;
-    let len = usize::from_str_radix(std::str::from_utf8(&head[20..28]).ok()?, 16).ok()?;
-    let start = offset + 29;
-    let payload = bytes.get(start..start + len)?;
-    if bytes.get(start + len) != Some(&b'\n') || fnv64(payload) != sum {
-        return None;
-    }
-    Some((std::str::from_utf8(payload).ok()?, start + len + 1))
-}
-
-/// FNV-1a, 64-bit — the same stable fingerprint the examples print for
-/// datasets, reused as the record checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON: the journal's payloads are built and parsed with a
-// private value tree. Every number the pipeline persists is an unsigned
-// integer, so `Num` is u64; object order is insertion order, and the
-// encoders below always build keys in a fixed order, keeping encoding
-// deterministic.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn str(s: &str) -> Value {
-        Value::Str(s.to_string())
-    }
-
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn encode(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::Str(s) => encode_string(out, s),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_string(out, k);
-                    out.push(':');
-                    v.encode(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn encode_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn parse_json(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes.get(*pos).is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r')) {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    other => return Err(format!("expected , or ] at {pos}, got {other:?}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(entries));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected : at {pos}"));
-                }
-                *pos += 1;
-                entries.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(entries));
-                    }
-                    other => return Err(format!("expected , or }} at {pos}, got {other:?}")),
-                }
-            }
-        }
-        Some(b) if b.is_ascii_digit() => {
-            let start = *pos;
-            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at {start}"))
-        }
-        other => Err(format!("unexpected {other:?} at {pos}")),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    let mut chunk_start = *pos;
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                out.push_str(
-                    std::str::from_utf8(&bytes[chunk_start..*pos]).map_err(|e| e.to_string())?,
-                );
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                out.push_str(
-                    std::str::from_utf8(&bytes[chunk_start..*pos]).map_err(|e| e.to_string())?,
-                );
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at {pos}"))?;
-                        out.push(
-                            char::from_u32(hex).ok_or_else(|| format!("bad codepoint at {pos}"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?} at {pos}")),
-                }
-                *pos += 1;
-                chunk_start = *pos;
-            }
-            Some(_) => *pos += 1,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Codecs. Encoders build objects with keys in a fixed order; decoders
-// look keys up by name and panic on absence — a checksummed record that
-// lacks a field is a format-version mismatch, not a torn write.
+// look keys up by name and return an error naming the field path on
+// absence or a type mismatch — a checksummed record that does not
+// decode is a format-version mismatch, not a torn write.
 // ---------------------------------------------------------------------
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
+type Decoded<T> = Result<T, String>;
 
-fn need<'v>(value: &'v Value, key: &str) -> &'v Value {
-    value.get(key).unwrap_or_else(|| panic!("journal: record missing field {key:?}"))
-}
-
-fn need_num(value: &Value, key: &str) -> u64 {
-    need(value, key).as_num().unwrap_or_else(|| panic!("journal: field {key:?} is not a number"))
-}
-
-fn need_bool(value: &Value, key: &str) -> bool {
-    need(value, key).as_bool().unwrap_or_else(|| panic!("journal: field {key:?} is not a bool"))
-}
-
-fn need_str<'v>(value: &'v Value, key: &str) -> &'v str {
-    need(value, key).as_str().unwrap_or_else(|| panic!("journal: field {key:?} is not a string"))
-}
-
-fn need_arr<'v>(value: &'v Value, key: &str) -> &'v [Value] {
-    need(value, key).as_arr().unwrap_or_else(|| panic!("journal: field {key:?} is not an array"))
+/// Unwraps a decoded record: a checksummed record that does not decode
+/// is a format-version mismatch, and replay fails loudly.
+fn expect_decoded<T>(path: &Path, record: usize, result: Decoded<T>) -> T {
+    result.unwrap_or_else(|e| panic!("journal: {} record {record}: {e}", path.display()))
 }
 
 fn name_to_value(name: &DomainName) -> Value {
     Value::Str(name.to_string())
 }
 
-fn name_from_value(value: &Value) -> DomainName {
-    let s = value.as_str().expect("journal: name is not a string");
-    s.parse().unwrap_or_else(|e| panic!("journal: bad domain name {s:?}: {e:?}"))
+fn name(value: &Value) -> Option<DomainName> {
+    value.as_str()?.parse().ok()
+}
+
+fn names_to_value(names: &[DomainName]) -> Value {
+    Value::Arr(names.iter().map(name_to_value).collect())
 }
 
 fn addr_to_value(addr: Ipv4Addr) -> Value {
     Value::Str(addr.to_string())
 }
 
-fn addr_from_value(value: &Value) -> Ipv4Addr {
-    let s = value.as_str().expect("journal: address is not a string");
-    s.parse().unwrap_or_else(|e| panic!("journal: bad address {s:?}: {e}"))
+fn addr(value: &Value) -> Option<Ipv4Addr> {
+    value.as_str()?.parse().ok()
+}
+
+fn addrs_to_value(addrs: &[Ipv4Addr]) -> Value {
+    Value::Arr(addrs.iter().map(|&a| addr_to_value(a)).collect())
 }
 
 fn addr_counts_to_value(counts: &[(Ipv4Addr, u64)]) -> Value {
@@ -727,45 +419,40 @@ fn addr_counts_to_value(counts: &[(Ipv4Addr, u64)]) -> Value {
     )
 }
 
-fn addr_counts_from_value(value: &Value) -> Vec<(Ipv4Addr, u64)> {
-    value
-        .as_arr()
-        .expect("journal: address counts are not an array")
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().expect("journal: address count is not a pair");
-            (addr_from_value(&pair[0]), pair[1].as_num().expect("journal: count"))
-        })
-        .collect()
-}
-
-fn header_to_value(header: &JournalHeader) -> Value {
-    obj(vec![
-        ("kind", Value::str("header")),
-        ("names_fingerprint", Value::Num(header.names_fingerprint)),
-        ("domains", Value::Num(header.domains)),
-        ("config_echo", Value::Str(header.config_echo.clone())),
-    ])
-}
-
-fn header_from_value(value: &Value) -> JournalHeader {
-    JournalHeader {
-        names_fingerprint: need_num(value, "names_fingerprint"),
-        domains: need_num(value, "domains"),
-        config_echo: need_str(value, "config_echo").to_string(),
+fn addr_count(value: &Value) -> Option<(Ipv4Addr, u64)> {
+    match value.as_arr()? {
+        [a, n] => Some((addr(a)?, n.as_u64()?)),
+        _ => None,
     }
 }
 
+fn header_to_value(header: &JournalHeader) -> Value {
+    Value::obj(vec![
+        ("kind", "header".into()),
+        ("names_fingerprint", Value::Num(header.names_fingerprint)),
+        ("domains", Value::Num(header.domains)),
+        ("config_echo", header.config_echo.as_str().into()),
+    ])
+}
+
+fn header_from_value(value: &Value) -> Decoded<JournalHeader> {
+    Ok(JournalHeader {
+        names_fingerprint: value.field("names_fingerprint", Value::as_u64)?,
+        domains: value.field("domains", Value::as_u64)?,
+        config_echo: value.field("config_echo", Value::as_str)?.to_owned(),
+    })
+}
+
 fn class_to_value(class: &ResponseClass) -> Value {
+    let tag = |t: &str| ("t", Value::from(t));
     match class {
-        ResponseClass::Authoritative(targets) => obj(vec![
-            ("t", Value::str("auth")),
-            ("targets", Value::Arr(targets.iter().map(name_to_value).collect())),
-        ]),
-        ResponseClass::Referral { cut, targets, glue } => obj(vec![
-            ("t", Value::str("referral")),
+        ResponseClass::Authoritative(targets) => {
+            Value::obj(vec![tag("auth"), ("targets", names_to_value(targets))])
+        }
+        ResponseClass::Referral { cut, targets, glue } => Value::obj(vec![
+            tag("referral"),
             ("cut", name_to_value(cut)),
-            ("targets", Value::Arr(targets.iter().map(name_to_value).collect())),
+            ("targets", names_to_value(targets)),
             (
                 "glue",
                 Value::Arr(
@@ -778,86 +465,80 @@ fn class_to_value(class: &ResponseClass) -> Value {
             ),
         ]),
         ResponseClass::Empty(rcode) => {
-            obj(vec![("t", Value::str("empty")), ("rcode", Value::Num(u64::from(*rcode)))])
+            Value::obj(vec![tag("empty"), ("rcode", Value::Num(u64::from(*rcode)))])
         }
         ResponseClass::Rejected(rcode) => {
-            obj(vec![("t", Value::str("rejected")), ("rcode", Value::Num(u64::from(*rcode)))])
+            Value::obj(vec![tag("rejected"), ("rcode", Value::Num(u64::from(*rcode)))])
         }
-        ResponseClass::Truncated => obj(vec![("t", Value::str("truncated"))]),
-        ResponseClass::Timeout => obj(vec![("t", Value::str("timeout"))]),
-        ResponseClass::Skipped => obj(vec![("t", Value::str("skipped"))]),
+        ResponseClass::Truncated => Value::obj(vec![tag("truncated")]),
+        ResponseClass::Timeout => Value::obj(vec![tag("timeout")]),
+        ResponseClass::Skipped => Value::obj(vec![tag("skipped")]),
     }
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn class_from_value(value: &Value) -> ResponseClass {
-    let names = |key: &str| need_arr(value, key).iter().map(name_from_value).collect();
-    match need_str(value, "t") {
-        "auth" => ResponseClass::Authoritative(names("targets")),
+fn class_from_value(value: &Value) -> Decoded<ResponseClass> {
+    Ok(match value.field("t", Value::as_str)? {
+        "auth" => ResponseClass::Authoritative(value.list("targets", name)?),
         "referral" => ResponseClass::Referral {
-            cut: name_from_value(need(value, "cut")),
-            targets: names("targets"),
-            glue: need_arr(value, "glue")
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr().expect("journal: glue is not a pair");
-                    (name_from_value(&pair[0]), addr_from_value(&pair[1]))
-                })
-                .collect(),
+            cut: value.field("cut", name)?,
+            targets: value.list("targets", name)?,
+            glue: value.list("glue", |pair| match pair.as_arr()? {
+                [host, a] => Some((name(host)?, addr(a)?)),
+                _ => None,
+            })?,
         },
-        "empty" => ResponseClass::Empty(need_num(value, "rcode") as u8),
-        "rejected" => ResponseClass::Rejected(need_num(value, "rcode") as u8),
+        "empty" => ResponseClass::Empty(value.field("rcode", Value::as_int)?),
+        "rejected" => ResponseClass::Rejected(value.field("rcode", Value::as_int)?),
         "truncated" => ResponseClass::Truncated,
         "timeout" => ResponseClass::Timeout,
         "skipped" => ResponseClass::Skipped,
-        t => panic!("journal: unknown response class tag {t:?}"),
-    }
+        t => return Err(format!("unknown response class tag {t:?}")),
+    })
 }
 
 fn observation_to_value(o: &ServerObservation) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("addr", addr_to_value(o.addr)),
         ("class", class_to_value(&o.class)),
         ("attempts", Value::Num(u64::from(o.attempts))),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn observation_from_value(value: &Value) -> ServerObservation {
-    ServerObservation {
-        addr: addr_from_value(need(value, "addr")),
-        class: class_from_value(need(value, "class")),
-        attempts: need_num(value, "attempts") as u32,
-    }
+fn observation_from_value(value: &Value) -> Decoded<ServerObservation> {
+    Ok(ServerObservation {
+        addr: value.field("addr", addr)?,
+        class: value.field("class", class_from_value)?,
+        attempts: value.field("attempts", Value::as_int)?,
+    })
 }
 
 fn server_to_value(s: &ServerProbe) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("host", name_to_value(&s.host)),
         ("in_parent", Value::Bool(s.in_parent)),
         ("in_child", Value::Bool(s.in_child)),
-        ("addrs", Value::Arr(s.addrs.iter().map(|&a| addr_to_value(a)).collect())),
+        ("addrs", addrs_to_value(&s.addrs)),
         ("observations", Value::Arr(s.observations.iter().map(observation_to_value).collect())),
         ("recovered_in_round2", Value::Bool(s.recovered_in_round2)),
     ])
 }
 
-fn server_from_value(value: &Value) -> ServerProbe {
-    ServerProbe {
-        host: name_from_value(need(value, "host")),
-        in_parent: need_bool(value, "in_parent"),
-        in_child: need_bool(value, "in_child"),
-        addrs: need_arr(value, "addrs").iter().map(addr_from_value).collect(),
-        observations: need_arr(value, "observations").iter().map(observation_from_value).collect(),
-        recovered_in_round2: need_bool(value, "recovered_in_round2"),
-    }
+fn server_from_value(value: &Value) -> Decoded<ServerProbe> {
+    Ok(ServerProbe {
+        host: value.field("host", name)?,
+        in_parent: value.field("in_parent", Value::as_bool)?,
+        in_child: value.field("in_child", Value::as_bool)?,
+        addrs: value.list("addrs", addr)?,
+        observations: value.list("observations", observation_from_value)?,
+        recovered_in_round2: value.field("recovered_in_round2", Value::as_bool)?,
+    })
 }
 
 /// Full-fidelity SOA codec: all seven fields round-trip (the dataset's
 /// `canonical_json` prints only three, which is not enough to rebuild
 /// the in-memory record).
 fn soa_to_value(soa: &Soa) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("mname", name_to_value(&soa.mname)),
         ("rname", name_to_value(&soa.rname)),
         ("serial", Value::Num(u64::from(soa.serial))),
@@ -868,30 +549,29 @@ fn soa_to_value(soa: &Soa) -> Value {
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn soa_from_value(value: &Value) -> Soa {
-    Soa {
-        mname: name_from_value(need(value, "mname")),
-        rname: name_from_value(need(value, "rname")),
-        serial: need_num(value, "serial") as u32,
-        refresh: need_num(value, "refresh") as u32,
-        retry: need_num(value, "retry") as u32,
-        expire: need_num(value, "expire") as u32,
-        minimum: need_num(value, "minimum") as u32,
-    }
+fn soa_from_value(value: &Value) -> Decoded<Soa> {
+    Ok(Soa {
+        mname: value.field("mname", name)?,
+        rname: value.field("rname", name)?,
+        serial: value.field("serial", Value::as_int)?,
+        refresh: value.field("refresh", Value::as_int)?,
+        retry: value.field("retry", Value::as_int)?,
+        expire: value.field("expire", Value::as_int)?,
+        minimum: value.field("minimum", Value::as_int)?,
+    })
 }
 
 fn probe_to_value(p: &DomainProbe) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("domain", name_to_value(&p.domain)),
         ("parent_zone", p.parent_zone.as_ref().map_or(Value::Null, name_to_value)),
-        ("parent_addrs", Value::Arr(p.parent_addrs.iter().map(|&a| addr_to_value(a)).collect())),
+        ("parent_addrs", addrs_to_value(&p.parent_addrs)),
         (
             "parent_observations",
             Value::Arr(p.parent_observations.iter().map(observation_to_value).collect()),
         ),
-        ("parent_ns", Value::Arr(p.parent_ns.iter().map(name_to_value).collect())),
-        ("child_ns", Value::Arr(p.child_ns.iter().map(name_to_value).collect())),
+        ("parent_ns", names_to_value(&p.parent_ns)),
+        ("child_ns", names_to_value(&p.child_ns)),
         ("servers", Value::Arr(p.servers.iter().map(server_to_value).collect())),
         ("soa", p.soa.as_ref().map_or(Value::Null, soa_to_value)),
         ("queries", Value::Num(u64::from(p.queries))),
@@ -900,79 +580,66 @@ fn probe_to_value(p: &DomainProbe) -> Value {
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn probe_from_value(value: &Value) -> DomainProbe {
-    let opt = |key: &str| match need(value, key) {
-        Value::Null => None,
-        v => Some(v),
-    };
-    DomainProbe {
-        domain: name_from_value(need(value, "domain")),
-        parent_zone: opt("parent_zone").map(name_from_value),
-        parent_addrs: need_arr(value, "parent_addrs").iter().map(addr_from_value).collect(),
-        parent_observations: need_arr(value, "parent_observations")
-            .iter()
-            .map(observation_from_value)
-            .collect(),
-        parent_ns: need_arr(value, "parent_ns").iter().map(name_from_value).collect(),
-        child_ns: need_arr(value, "child_ns").iter().map(name_from_value).collect(),
-        servers: need_arr(value, "servers").iter().map(server_from_value).collect(),
-        soa: opt("soa").map(soa_from_value),
-        queries: need_num(value, "queries") as u32,
-        elapsed_ms: need_num(value, "elapsed_ms") as u32,
-        rounds: need_num(value, "rounds") as u8,
-    }
+fn probe_from_value(value: &Value) -> Decoded<DomainProbe> {
+    Ok(DomainProbe {
+        domain: value.field("domain", name)?,
+        parent_zone: value.opt_field("parent_zone", name)?,
+        parent_addrs: value.list("parent_addrs", addr)?,
+        parent_observations: value.list("parent_observations", observation_from_value)?,
+        parent_ns: value.list("parent_ns", name)?,
+        child_ns: value.list("child_ns", name)?,
+        servers: value.list("servers", server_from_value)?,
+        soa: value.opt_field("soa", soa_from_value)?,
+        queries: value.field("queries", Value::as_int)?,
+        elapsed_ms: value.field("elapsed_ms", Value::as_int)?,
+        rounds: value.field("rounds", Value::as_int)?,
+    })
 }
 
 fn record_data_to_value(data: &RecordData) -> Value {
-    match data {
-        RecordData::A(a) => obj(vec![("t", Value::str("a")), ("v", Value::Str(a.to_string()))]),
-        RecordData::Ns(n) => obj(vec![("t", Value::str("ns")), ("v", name_to_value(n))]),
-        RecordData::Cname(n) => obj(vec![("t", Value::str("cname")), ("v", name_to_value(n))]),
-        RecordData::Soa(s) => obj(vec![("t", Value::str("soa")), ("v", soa_to_value(s))]),
-        RecordData::Ptr(n) => obj(vec![("t", Value::str("ptr")), ("v", name_to_value(n))]),
-        RecordData::Txt(t) => obj(vec![("t", Value::str("txt")), ("v", Value::Str(t.clone()))]),
-        RecordData::Aaaa(a) => {
-            obj(vec![("t", Value::str("aaaa")), ("v", Value::Str(a.to_string()))])
-        }
-    }
+    let (tag, v) = match data {
+        RecordData::A(a) => ("a", addr_to_value(*a)),
+        RecordData::Ns(n) => ("ns", name_to_value(n)),
+        RecordData::Cname(n) => ("cname", name_to_value(n)),
+        RecordData::Soa(s) => ("soa", soa_to_value(s)),
+        RecordData::Ptr(n) => ("ptr", name_to_value(n)),
+        RecordData::Txt(t) => ("txt", t.as_str().into()),
+        RecordData::Aaaa(a) => ("aaaa", Value::Str(a.to_string())),
+    };
+    Value::obj(vec![("t", tag.into()), ("v", v)])
 }
 
-fn record_data_from_value(value: &Value) -> RecordData {
-    let v = need(value, "v");
-    match need_str(value, "t") {
-        "a" => RecordData::A(addr_from_value(v)),
-        "ns" => RecordData::Ns(name_from_value(v)),
-        "cname" => RecordData::Cname(name_from_value(v)),
-        "soa" => RecordData::Soa(soa_from_value(v)),
-        "ptr" => RecordData::Ptr(name_from_value(v)),
-        "txt" => RecordData::Txt(v.as_str().expect("journal: txt payload").to_string()),
-        "aaaa" => RecordData::Aaaa(
-            v.as_str().and_then(|s| s.parse().ok()).expect("journal: bad AAAA payload"),
-        ),
-        t => panic!("journal: unknown record data tag {t:?}"),
-    }
+fn record_data_from_value(value: &Value) -> Decoded<RecordData> {
+    Ok(match value.field("t", Value::as_str)? {
+        "a" => RecordData::A(value.field("v", addr)?),
+        "ns" => RecordData::Ns(value.field("v", name)?),
+        "cname" => RecordData::Cname(value.field("v", name)?),
+        "soa" => RecordData::Soa(value.field("v", soa_from_value)?),
+        "ptr" => RecordData::Ptr(value.field("v", name)?),
+        "txt" => RecordData::Txt(value.field("v", Value::as_str)?.to_owned()),
+        "aaaa" => RecordData::Aaaa(value.field("v", |v| v.as_str()?.parse().ok())?),
+        t => return Err(format!("unknown record data tag {t:?}")),
+    })
 }
 
 fn resource_record_to_value(rr: &ResourceRecord) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("name", name_to_value(&rr.name)),
         ("ttl", Value::Num(u64::from(rr.ttl))),
         ("data", record_data_to_value(&rr.data)),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn resource_record_from_value(value: &Value) -> ResourceRecord {
-    ResourceRecord {
-        name: name_from_value(need(value, "name")),
-        ttl: need_num(value, "ttl") as u32,
-        data: record_data_from_value(need(value, "data")),
-    }
+fn resource_record_from_value(value: &Value) -> Decoded<ResourceRecord> {
+    Ok(ResourceRecord {
+        name: value.field("name", name)?,
+        ttl: value.field("ttl", Value::as_int)?,
+        data: value.field("data", record_data_from_value)?,
+    })
 }
 
 fn limiter_to_value(state: &LimiterState) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("issued", Value::Num(state.issued)),
         ("per_round", Value::Arr(state.per_round.iter().map(|&n| Value::Num(n)).collect())),
         ("per_destination", addr_counts_to_value(&state.per_destination)),
@@ -980,25 +647,20 @@ fn limiter_to_value(state: &LimiterState) -> Value {
     ])
 }
 
-fn limiter_from_value(value: &Value) -> LimiterState {
-    let rounds = need_arr(value, "per_round");
-    assert_eq!(rounds.len(), 5, "journal: per_round must have 5 slots");
-    let mut per_round = [0u64; 5];
-    for (slot, v) in per_round.iter_mut().zip(rounds) {
-        *slot = v.as_num().expect("journal: per_round entry");
-    }
-    LimiterState {
-        issued: need_num(value, "issued"),
-        per_round,
-        per_destination: addr_counts_from_value(need(value, "per_destination")),
-        per_destination_retries: addr_counts_from_value(need(value, "per_destination_retries")),
-    }
+fn limiter_from_value(value: &Value) -> Decoded<LimiterState> {
+    let rounds = value.list("per_round", Value::as_u64)?;
+    Ok(LimiterState {
+        issued: value.field("issued", Value::as_u64)?,
+        per_round: rounds.try_into().map_err(|_| "per_round must have 5 slots".to_owned())?,
+        per_destination: value.list("per_destination", addr_count)?,
+        per_destination_retries: value.list("per_destination_retries", addr_count)?,
+    })
 }
 
 fn breaker_to_value(s: &BreakerSnapshot) -> Value {
-    obj(vec![
+    Value::obj(vec![
         ("addr", addr_to_value(s.addr)),
-        ("phase", Value::str(s.phase.as_str())),
+        ("phase", s.phase.as_str().into()),
         ("consecutive_failures", Value::Num(u64::from(s.consecutive_failures))),
         ("opened_rank", Value::Num(u64::from(s.opened_rank))),
         ("trips", Value::Num(s.trips)),
@@ -1006,45 +668,44 @@ fn breaker_to_value(s: &BreakerSnapshot) -> Value {
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn breaker_from_value(value: &Value) -> BreakerSnapshot {
-    let phase = need_str(value, "phase");
-    BreakerSnapshot {
-        addr: addr_from_value(need(value, "addr")),
-        phase: BreakerPhase::parse(phase)
-            .unwrap_or_else(|| panic!("journal: unknown breaker phase {phase:?}")),
-        consecutive_failures: need_num(value, "consecutive_failures") as u32,
-        opened_rank: need_num(value, "opened_rank") as u32,
-        trips: need_num(value, "trips"),
-        denied: need_num(value, "denied"),
-    }
+fn breaker_from_value(value: &Value) -> Decoded<BreakerSnapshot> {
+    Ok(BreakerSnapshot {
+        addr: value.field("addr", addr)?,
+        phase: value.field("phase", |p| BreakerPhase::parse(p.as_str()?))?,
+        consecutive_failures: value.field("consecutive_failures", Value::as_int)?,
+        opened_rank: value.field("opened_rank", Value::as_int)?,
+        trips: value.field("trips", Value::as_u64)?,
+        denied: value.field("denied", Value::as_u64)?,
+    })
 }
 
 fn checkpoint_to_value(cp: &Checkpoint) -> Value {
-    obj(vec![
-        ("kind", Value::str("checkpoint")),
+    let t = &cp.traffic;
+    let f = &cp.faults;
+    Value::obj(vec![
+        ("kind", "checkpoint".into()),
         ("probes_done", Value::Num(cp.probes_done)),
         ("limiter", limiter_to_value(&cp.limiter)),
         (
             "traffic",
-            obj(vec![
-                ("queries_sent", Value::Num(cp.traffic.queries_sent)),
-                ("responses_received", Value::Num(cp.traffic.responses_received)),
-                ("timeouts", Value::Num(cp.traffic.timeouts)),
-                ("bytes_sent", Value::Num(cp.traffic.bytes_sent)),
-                ("bytes_received", Value::Num(cp.traffic.bytes_received)),
-                ("total_wait_ms", Value::Num(cp.traffic.total_wait_ms)),
+            Value::obj(vec![
+                ("queries_sent", Value::Num(t.queries_sent)),
+                ("responses_received", Value::Num(t.responses_received)),
+                ("timeouts", Value::Num(t.timeouts)),
+                ("bytes_sent", Value::Num(t.bytes_sent)),
+                ("bytes_received", Value::Num(t.bytes_received)),
+                ("total_wait_ms", Value::Num(t.total_wait_ms)),
             ]),
         ),
         (
             "faults",
-            obj(vec![
-                ("flap_timeouts", Value::Num(cp.faults.flap_timeouts)),
-                ("losses", Value::Num(cp.faults.losses)),
-                ("refused", Value::Num(cp.faults.refused)),
-                ("truncated", Value::Num(cp.faults.truncated)),
-                ("delayed", Value::Num(cp.faults.delayed)),
-                ("outages", Value::Num(cp.faults.outages)),
+            Value::obj(vec![
+                ("flap_timeouts", Value::Num(f.flap_timeouts)),
+                ("losses", Value::Num(f.losses)),
+                ("refused", Value::Num(f.refused)),
+                ("truncated", Value::Num(f.truncated)),
+                ("delayed", Value::Num(f.delayed)),
+                ("outages", Value::Num(f.outages)),
             ]),
         ),
         ("net_per_destination", addr_counts_to_value(&cp.net_per_destination)),
@@ -1071,60 +732,64 @@ fn checkpoint_to_value(cp: &Checkpoint) -> Value {
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn checkpoint_from_value(value: &Value) -> Checkpoint {
-    let traffic = need(value, "traffic");
-    let faults = need(value, "faults");
-    Checkpoint {
-        probes_done: need_num(value, "probes_done"),
-        limiter: limiter_from_value(need(value, "limiter")),
-        traffic: TrafficStats {
-            queries_sent: need_num(traffic, "queries_sent"),
-            responses_received: need_num(traffic, "responses_received"),
-            timeouts: need_num(traffic, "timeouts"),
-            bytes_sent: need_num(traffic, "bytes_sent"),
-            bytes_received: need_num(traffic, "bytes_received"),
-            total_wait_ms: need_num(traffic, "total_wait_ms"),
-        },
-        faults: FaultStats {
-            flap_timeouts: need_num(faults, "flap_timeouts"),
-            losses: need_num(faults, "losses"),
-            refused: need_num(faults, "refused"),
-            truncated: need_num(faults, "truncated"),
-            delayed: need_num(faults, "delayed"),
-            outages: need_num(faults, "outages"),
-        },
-        net_per_destination: addr_counts_from_value(need(value, "net_per_destination")),
-        cache: need_arr(value, "cache")
-            .iter()
-            .map(|entry| {
-                let entry = entry.as_arr().expect("journal: cache entry is not a tuple");
-                let code = entry[1].as_num().expect("journal: cache record type") as u16;
-                let rtype = RecordType::from_code(code)
-                    .unwrap_or_else(|| panic!("journal: unknown record type code {code}"));
-                let records: Vec<ResourceRecord> = entry[2]
-                    .as_arr()
-                    .expect("journal: cache records")
-                    .iter()
-                    .map(resource_record_from_value)
-                    .collect();
-                // Current journals append the expiry as a fourth
-                // element; pre-expiry journals wrote triples, whose
-                // entries were captured at virtual time zero — their
-                // expiry is recomputed from the records' smallest TTL
-                // (the formula the resolver applied at insert time).
-                let expires_at_s = match entry.get(3) {
-                    Some(v) => v.as_num().expect("journal: cache entry expiry"),
-                    None => u64::from(
-                        records.iter().map(|r| r.ttl).min().unwrap_or(LEGACY_NEGATIVE_TTL_S),
-                    ),
-                };
-                ((name_from_value(&entry[0]), rtype), CacheEntry { expires_at_s, records })
-            })
-            .collect(),
-        clock_s: value.get("clock_s").and_then(Value::as_num).unwrap_or(0),
-        breakers: need_arr(value, "breakers").iter().map(breaker_from_value).collect(),
-    }
+/// One cache entry: `[name, type code, records, expiry]`. Pre-expiry
+/// journals wrote triples, whose entries were captured at virtual time
+/// zero — their expiry is recomputed from the records' smallest TTL
+/// (the formula the resolver applied at insert time).
+fn cache_entry_from_value(value: &Value) -> Decoded<((DomainName, RecordType), CacheEntry)> {
+    let parts = value.as_arr().ok_or("cache entry is not a tuple")?;
+    let (key, code, records, expiry) = match parts {
+        [key, code, records] => (key, code, records, None),
+        [key, code, records, expiry] => (key, code, records, Some(expiry)),
+        _ => return Err(format!("cache entry has {} elements", parts.len())),
+    };
+    let key = name(key).ok_or("bad cache key")?;
+    let rtype = code.as_int().and_then(RecordType::from_code).ok_or("bad cache record type")?;
+    let records = records
+        .as_arr()
+        .ok_or("cache records are not an array")?
+        .iter()
+        .map(resource_record_from_value)
+        .collect::<Decoded<Vec<_>>>()?;
+    let expires_at_s = match expiry {
+        Some(v) => v.as_u64().ok_or("bad cache entry expiry")?,
+        None => u64::from(records.iter().map(|r| r.ttl).min().unwrap_or(LEGACY_NEGATIVE_TTL_S)),
+    };
+    Ok(((key, rtype), CacheEntry { expires_at_s, records }))
+}
+
+fn checkpoint_from_value(value: &Value) -> Decoded<Checkpoint> {
+    let traffic = |t: &Value| -> Decoded<TrafficStats> {
+        Ok(TrafficStats {
+            queries_sent: t.field("queries_sent", Value::as_u64)?,
+            responses_received: t.field("responses_received", Value::as_u64)?,
+            timeouts: t.field("timeouts", Value::as_u64)?,
+            bytes_sent: t.field("bytes_sent", Value::as_u64)?,
+            bytes_received: t.field("bytes_received", Value::as_u64)?,
+            total_wait_ms: t.field("total_wait_ms", Value::as_u64)?,
+        })
+    };
+    let faults = |f: &Value| -> Decoded<FaultStats> {
+        Ok(FaultStats {
+            flap_timeouts: f.field("flap_timeouts", Value::as_u64)?,
+            losses: f.field("losses", Value::as_u64)?,
+            refused: f.field("refused", Value::as_u64)?,
+            truncated: f.field("truncated", Value::as_u64)?,
+            delayed: f.field("delayed", Value::as_u64)?,
+            outages: f.field("outages", Value::as_u64)?,
+        })
+    };
+    Ok(Checkpoint {
+        probes_done: value.field("probes_done", Value::as_u64)?,
+        limiter: value.field("limiter", limiter_from_value)?,
+        traffic: value.field("traffic", traffic)?,
+        faults: value.field("faults", faults)?,
+        net_per_destination: value.list("net_per_destination", addr_count)?,
+        cache: value.list("cache", cache_entry_from_value)?,
+        // Journals from before the virtual clock have no clock field.
+        clock_s: value.opt_field("clock_s", Value::as_u64)?.unwrap_or(0),
+        breakers: value.list("breakers", breaker_from_value)?,
+    })
 }
 
 /// The negative-caching TTL the resolver assigns an empty (NODATA)
@@ -1319,6 +984,45 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The journal's mutation suite: every truncation and every
+    /// single-bit flip past the header record drops a torn tail and
+    /// keeps the intact prefix. Checksummed schema garbage is out of
+    /// scope: `load` documents that it panics on it.
+    #[test]
+    fn every_truncation_and_bit_flip_past_the_header_drops_a_torn_tail() {
+        let path = tmp("mutations");
+        let mut w = JournalWriter::create(&path, &header());
+        w.probe(0, &sample_probe(0));
+        w.checkpoint(&sample_checkpoint(1));
+        w.probe(1, &sample_probe(1));
+        w.complete(2);
+        drop(w);
+        let bytes = std::fs::read(&path).unwrap();
+        let mut bounds = vec![0];
+        while let Some((_, next)) = read_frame(&bytes, *bounds.last().unwrap(), b"J1") {
+            bounds.push(next);
+        }
+        assert_eq!(bounds.len(), 6, "five intact records");
+        let intact_before = |at: usize| *bounds.iter().rev().find(|&&b| b <= at).unwrap();
+        let mutant = tmp("mutant");
+        let load = |b: &[u8]| {
+            std::fs::write(&mutant, b).unwrap();
+            JournalReplay::load(&mutant)
+        };
+        for end in bounds[1]..bytes.len() {
+            let replay = load(&bytes[..end]);
+            assert_eq!(replay.dropped_bytes, (end - intact_before(end)) as u64, "cut at {end}");
+        }
+        for bit in bounds[1] * 8..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let dropped = (bytes.len() - intact_before(bit / 8)) as u64;
+            assert_eq!(load(&flipped).dropped_bytes, dropped, "bit {bit} flipped");
+        }
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&mutant).unwrap();
+    }
+
     #[test]
     fn best_checkpoint_never_exceeds_the_contiguous_probe_prefix() {
         let path = tmp("best-checkpoint");
@@ -1367,7 +1071,7 @@ mod tests {
         let cp = Checkpoint { limiter: forward.export_state(), ..sample_checkpoint(3) };
         let mut encoded = String::new();
         checkpoint_to_value(&cp).encode(&mut encoded);
-        let decoded = checkpoint_from_value(&parse_json(&encoded).unwrap());
+        let decoded = checkpoint_from_value(&parse(&encoded).unwrap()).unwrap();
         let restored = RateLimiter::new(100);
         restored.restore_state(&decoded.limiter);
         assert_eq!(restored.export_state(), cp.limiter);
@@ -1403,7 +1107,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let decoded = checkpoint_from_value(&legacy);
+        let decoded = checkpoint_from_value(&legacy).unwrap();
         assert_eq!(decoded.clock_s, 0);
         assert_eq!(decoded.cache.len(), 1);
         assert_eq!(decoded.cache[0].1.expires_at_s, 3600, "min record TTL from time zero");
@@ -1458,13 +1162,5 @@ mod tests {
 
     fn buffered_pending(w: &JournalWriter) -> usize {
         w.buf.len()
-    }
-
-    #[test]
-    fn string_escaping_survives_hostile_txt_payloads() {
-        let mut out = String::new();
-        encode_string(&mut out, "a\"b\\c\nd\te\u{1}f");
-        let parsed = parse_json(&out).unwrap();
-        assert_eq!(parsed.as_str(), Some("a\"b\\c\nd\te\u{1}f"));
     }
 }

@@ -29,17 +29,18 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use govdns_model::persist::fnv64;
 use govdns_model::{DomainName, RecordType};
 use govdns_simnet::{CacheEntry, ChaosProfile, FaultPlan, Prefix24};
 use govdns_telemetry::{ProgressEvent, Registry};
 use govdns_trace::{TraceSpec, Tracer};
 
 use crate::discovery::{self, DiscoveryConfig};
-use crate::journal::{fnv64, Checkpoint, JournalHeader, JournalReplay, JournalSpec, JournalWriter};
+use crate::journal::{Checkpoint, JournalHeader, JournalReplay, JournalSpec, JournalWriter};
 use crate::probe::{BreakerBank, BreakerPolicy, DomainProbe, ProbeClient, RetryPolicy};
 use crate::ratelimit::RateLimiter;
 use crate::seed;
-use crate::sink::JournalSink;
+use crate::sink::{self, JournalSink};
 use crate::{Campaign, MeasurementDataset};
 
 /// Contiguous domains a worker claims per `fetch_add` when plenty of
@@ -409,7 +410,7 @@ pub fn run_campaign_with(
         (None, _) => None,
     };
     let journal: Option<Arc<JournalSink>> =
-        journal_writer.map(|w| JournalSink::spawn(w, resume_point as u64));
+        journal_writer.map(|w| sink::spawn(w, resume_point as u64));
     let checkpoint_every = config.journal.as_ref().map_or(0, |s| s.checkpoint_every.max(1));
 
     // The flight recorder. Created after resume replay so the trace file
@@ -536,9 +537,9 @@ pub fn run_campaign_with(
                         let probe = Arc::new(probe);
                         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
                         if let Some(journal) = journal {
-                            journal.probe(i as u64, Arc::clone(&probe));
+                            journal.item(i as u64, Arc::clone(&probe));
                             if done.is_multiple_of(checkpoint_every) {
-                                journal.checkpoint(capture(done as u64));
+                                journal.side(Box::new(capture(done as u64)));
                             }
                         }
                         *slot.lock() = Some(probe);
@@ -604,7 +605,7 @@ pub fn run_campaign_with(
         // resume picks up the full warmth the run accumulated. With one
         // worker this is byte-for-byte the old per-worker exit
         // checkpoint.
-        let mut w = sink.finish();
+        let mut w = sink.finish().expect("journal sink finished twice").writer;
         let mut cache: BTreeMap<(DomainName, RecordType), CacheEntry> = BTreeMap::new();
         let mut clock_s = initial_clock;
         for slot in &exit_state {

@@ -1,197 +1,84 @@
-//! The journal sink pipeline: a dedicated I/O thread fed by a bounded
-//! channel, so probing workers append to the write-ahead journal
-//! without ever touching a sink mutex.
+//! The journal sink: the write-ahead journal behind the shared
+//! [`OrderedSink`] I/O thread, so probing workers append to it without
+//! ever touching a sink mutex.
 //!
 //! **Hot-path discipline.** A worker finishing a probe sends one
-//! `(index, probe)` message and returns; framing, ordering, and file
-//! writes all happen on the sink thread. The only way a worker can
-//! stall is backpressure — the bounded channel filling faster than the
-//! thread drains it — and that wait is measured
-//! ([`JournalSink::wait_ns`]) so tests can assert it stays at zero.
+//! `(index, probe)` item and returns; framing, ordering, and file
+//! writes all happen on the sink thread, and backpressure waits are
+//! measured ([`OrderedSink::wait_ns`]) so tests can assert they stay at
+//! zero.
 //!
-//! **Ordering.** The thread owns a reorder buffer keyed by campaign
-//! index and appends probe records strictly in index order, which keeps
-//! the journal's contiguous-prefix replay rule meaningful at any worker
-//! count (and the file byte-stable across identical runs at a fixed
-//! worker count — record *content* carries side-query tallies that
-//! follow per-worker resolver-cache warmth, so cross-worker-count byte
-//! identity was never a journal property). A checkpoint message whose
-//! `probes_done` is ahead of the written prefix is *held* and appended
-//! only once the prefix covers it: a checkpoint the replay would have
-//! to discard (state ahead of the probes on disk) is never written in
-//! that invalid position. With one worker, messages already arrive in
-//! index order and every checkpoint lands exactly where the old
-//! locked writer put it — byte-identical journals.
+//! **Ordering.** The sink appends probe records strictly in index
+//! order, which keeps the journal's contiguous-prefix replay rule
+//! meaningful at any worker count (and the file byte-stable across
+//! identical runs at a fixed worker count — record *content* carries
+//! side-query tallies that follow per-worker resolver-cache warmth, so
+//! cross-worker-count byte identity was never a journal property). A
+//! checkpoint whose `probes_done` is ahead of the written prefix is
+//! *held* and appended only once the prefix covers it: a checkpoint the
+//! replay would have to discard (state ahead of the probes on disk) is
+//! never written in that invalid position. With one worker, messages
+//! already arrive in index order and every checkpoint lands exactly
+//! where the old locked writer put it — byte-identical journals.
 //!
-//! **Shutdown.** [`JournalSink::finish`] closes the channel and joins
-//! the thread, which drains every queued message first; the reclaimed
-//! [`JournalWriter`] then carries the campaign's final merged
-//! checkpoint and completion record on the caller's thread. If the
-//! campaign unwinds on a worker panic, dropping the sink closes the
-//! channel the same way and the writer's own drop flushes what
-//! arrived. A hard kill (`std::process::exit`) can lose whatever still
-//! sat in the channel — the same class of tail loss the buffered
-//! writer always had, and exactly the window checkpoint replay
-//! tolerates.
+//! **Shutdown.** [`OrderedSink::finish`] joins the thread, which drains
+//! every queued message first; the reclaimed [`JournalWriter`] then
+//! carries the campaign's final merged checkpoint and completion record
+//! on the caller's thread. If the campaign unwinds on a worker panic,
+//! dropping the sink closes the channel the same way and the writer's
+//! own drop flushes what arrived. A hard kill (`std::process::exit`)
+//! can lose whatever still sat in the channel — the same class of tail
+//! loss the buffered writer always had, and exactly the window
+//! checkpoint replay tolerates.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
-use parking_lot::Mutex;
+use govdns_model::persist::{OrderedSink, SinkConsumer};
 
 use crate::journal::{Checkpoint, JournalWriter};
 use crate::probe::DomainProbe;
 
-/// Bounded journal-channel capacity, in messages. Each message is one
-/// completed probe (shared, not cloned) or one checkpoint; the bound
-/// caps how much completed-but-unwritten work a kill can lose.
-const JOURNAL_CHANNEL_CAPACITY: usize = 1024;
-
-enum JournalMsg {
-    /// One completed probe at its campaign index.
-    Probe(u64, Arc<DomainProbe>),
-    /// A periodic state checkpoint, captured by the sending worker.
-    Checkpoint(Box<Checkpoint>),
-    /// Drain and hand the writer back through the thread's return
-    /// value.
-    Finish,
-}
-
 /// The worker-facing handle: send-only, lock-free on the send path.
-pub(crate) struct JournalSink {
-    tx: SyncSender<JournalMsg>,
-    /// Joined by [`finish`](JournalSink::finish) to reclaim the writer.
-    io: Mutex<Option<JoinHandle<JournalWriter>>>,
-    /// Nanoseconds workers spent blocked on a full channel.
-    wait_ns: AtomicU64,
-    /// Messages sent but not yet processed by the thread.
-    depth: AtomicU64,
-    /// High-water mark of `depth`.
-    hwm: AtomicU64,
+pub(crate) type JournalSink = OrderedSink<JournalFile>;
+
+/// What the journal sink thread owns.
+pub(crate) struct JournalFile {
+    pub(crate) writer: JournalWriter,
+    /// Checkpoints ahead of the written probe prefix, in arrival order.
+    held: VecDeque<Box<Checkpoint>>,
 }
 
-impl JournalSink {
-    /// Spawns the sink I/O thread around an already-set-up writer
-    /// (header, replayed history, and resume markers written by the
-    /// caller). `next_index` is the first campaign index the reorder
-    /// buffer waits for — the resume point.
-    pub(crate) fn spawn(mut writer: JournalWriter, next_index: u64) -> Arc<JournalSink> {
-        let (tx, rx) = sync_channel::<JournalMsg>(JOURNAL_CHANNEL_CAPACITY);
-        let sink = Arc::new(JournalSink {
-            tx,
-            io: Mutex::new(None),
-            wait_ns: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            hwm: AtomicU64::new(0),
-        });
-        let depth = Arc::downgrade(&sink);
-        let handle = std::thread::Builder::new()
-            .name("govdns-journal-sink".into())
-            .spawn(move || {
-                let mut pending: BTreeMap<u64, Arc<DomainProbe>> = BTreeMap::new();
-                let mut held: VecDeque<Box<Checkpoint>> = VecDeque::new();
-                let mut next = next_index;
-                // A closed channel (finish, or an unwinding campaign)
-                // drains what arrived and hands the writer back.
-                while let Ok(msg) = rx.recv() {
-                    // Finish bypasses `send` and is never counted.
-                    if !matches!(msg, JournalMsg::Finish) {
-                        if let Some(s) = depth.upgrade() {
-                            s.depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                    match msg {
-                        JournalMsg::Probe(index, probe) => {
-                            pending.insert(index, probe);
-                            while let Some(p) = pending.remove(&next) {
-                                writer.probe(next, &p);
-                                next += 1;
-                            }
-                            while held.front().is_some_and(|cp| cp.probes_done <= next) {
-                                let cp = held.pop_front().expect("front checked above");
-                                writer.checkpoint(&cp);
-                            }
-                        }
-                        JournalMsg::Checkpoint(cp) => {
-                            if cp.probes_done <= next {
-                                writer.checkpoint(&cp);
-                            } else {
-                                held.push_back(cp);
-                            }
-                        }
-                        JournalMsg::Finish => break,
-                    }
-                }
-                while let Some(p) = pending.remove(&next) {
-                    writer.probe(next, &p);
-                    next += 1;
-                }
-                while held.front().is_some_and(|cp| cp.probes_done <= next) {
-                    let cp = held.pop_front().expect("front checked above");
-                    writer.checkpoint(&cp);
-                }
-                writer
-            })
-            .expect("spawn journal sink thread");
-        *sink.io.lock() = Some(handle);
-        sink
+/// Spawns the journal sink thread around an already-set-up writer
+/// (header, replayed history, and resume markers written by the
+/// caller). `next_index` is the first campaign index the reorder
+/// buffer waits for — the resume point.
+pub(crate) fn spawn(writer: JournalWriter, next_index: u64) -> Arc<JournalSink> {
+    let file = JournalFile { writer, held: VecDeque::new() };
+    Arc::new(OrderedSink::spawn("govdns-journal-sink", file, next_index))
+}
+
+impl SinkConsumer for JournalFile {
+    /// One completed probe (shared, not cloned).
+    type Item = Arc<DomainProbe>;
+    /// A periodic state checkpoint, captured by the sending worker.
+    type Side = Box<Checkpoint>;
+
+    fn item(&mut self, index: u64, probe: Arc<DomainProbe>) {
+        self.writer.probe(index, &probe);
     }
 
-    /// Enqueues one message, measuring any backpressure wait.
-    fn send(&self, msg: JournalMsg) {
-        // Count before sending: the I/O thread decrements on receipt,
-        // and counting after delivery would let the decrement land
-        // first and underflow the gauge.
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.hwm.fetch_max(depth, Ordering::Relaxed);
-        match self.tx.try_send(msg) {
-            Ok(()) => {}
-            Err(TrySendError::Full(msg)) => {
-                let start = Instant::now();
-                self.tx.send(msg).expect("journal sink thread died");
-                self.wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            Err(TrySendError::Disconnected(_)) => panic!("journal sink thread died"),
+    fn side(&mut self, cp: Box<Checkpoint>, next: u64) {
+        if cp.probes_done <= next {
+            self.writer.checkpoint(&cp);
+        } else {
+            self.held.push_back(cp);
         }
     }
 
-    /// Submits one completed probe for ordered append.
-    pub(crate) fn probe(&self, index: u64, probe: Arc<DomainProbe>) {
-        self.send(JournalMsg::Probe(index, probe));
-    }
-
-    /// Submits a state checkpoint (held until the written probe prefix
-    /// covers its `probes_done`).
-    pub(crate) fn checkpoint(&self, cp: Checkpoint) {
-        self.send(JournalMsg::Checkpoint(Box::new(cp)));
-    }
-
-    /// Nanoseconds workers spent blocked on sink backpressure.
-    pub(crate) fn wait_ns(&self) -> u64 {
-        self.wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of the sink queue depth, in messages.
-    pub(crate) fn queue_high_water(&self) -> u64 {
-        self.hwm.load(Ordering::Relaxed)
-    }
-
-    /// Sends the final drain message, joins the I/O thread after it
-    /// drains every queued message, and hands the writer back for the
-    /// final merged checkpoint and completion record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice, or if the sink thread panicked.
-    pub(crate) fn finish(&self) -> JournalWriter {
-        let handle = self.io.lock().take().expect("journal sink finished twice");
-        // FIFO: every probe and checkpoint submitted before this point
-        // is processed before the thread breaks.
-        self.tx.send(JournalMsg::Finish).expect("journal sink thread died");
-        handle.join().expect("journal sink thread panicked")
+    fn drained(&mut self, next: u64) {
+        while let Some(cp) = self.held.pop_front_if(|cp| cp.probes_done <= next) {
+            self.writer.checkpoint(&cp);
+        }
     }
 }

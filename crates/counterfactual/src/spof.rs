@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use govdns_core::DomainClass;
+use govdns_model::persist::{escape_into, Quoted};
 
 use crate::recovery::RecoveryEntry;
 use crate::scenario::ScenarioKind;
@@ -253,12 +254,12 @@ impl SpofReport {
             }
             let _ = write!(
                 out,
-                "{{\"id\":\"{}\",\"kind\":\"{}\",\"subject\":\"{}\",\"blast_addrs\":{},\
+                "{{\"id\":{},\"kind\":\"{}\",\"subject\":{},\"blast_addrs\":{},\
                  \"blast_prefixes\":{},\"candidate_domains\":{},\"domains_darkened\":{},\
                  \"countries_darkened\":{},\"countries\":[",
-                escape(&e.id),
+                Quoted(&e.id),
                 e.kind,
-                escape(&e.subject),
+                Quoted(&e.subject),
                 e.blast_addrs,
                 e.blast_prefixes,
                 e.candidate_domains,
@@ -269,7 +270,7 @@ impl SpofReport {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", escape(c));
+                escape_into(c, &mut out);
             }
             out.push_str("],\"darkened\":[");
             for (j, d) in e.darkened.iter().enumerate() {
@@ -278,9 +279,9 @@ impl SpofReport {
                 }
                 let _ = write!(
                     out,
-                    "{{\"domain\":\"{}\",\"country\":\"{}\",\"from\":\"{}\",\"to\":\"{}\"}}",
-                    escape(&d.domain),
-                    escape(&d.country),
+                    "{{\"domain\":{},\"country\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
+                    Quoted(&d.domain),
+                    Quoted(&d.country),
                     d.from,
                     d.to,
                 );
@@ -298,8 +299,8 @@ impl SpofReport {
                 }
                 let _ = write!(
                     out,
-                    "{{\"id\":\"{}\",\"window_s\":{},\"step_s\":{},\"domains\":[",
-                    escape(&r.id),
+                    "{{\"id\":{},\"window_s\":{},\"step_s\":{},\"domains\":[",
+                    Quoted(&r.id),
                     r.window_s,
                     r.step_s,
                 );
@@ -309,10 +310,10 @@ impl SpofReport {
                     }
                     let _ = write!(
                         out,
-                        "{{\"domain\":\"{}\",\"country\":\"{}\",\"dark_at_s\":{},\
+                        "{{\"domain\":{},\"country\":{},\"dark_at_s\":{},\
                          \"recover_s\":{}}}",
-                        escape(&d.domain),
-                        escape(&d.country),
+                        Quoted(&d.domain),
+                        Quoted(&d.country),
                         d.dark_at_s.map_or_else(|| "null".to_owned(), |t| t.to_string()),
                         d.recover_s.map_or_else(|| "null".to_owned(), |t| t.to_string()),
                     );
@@ -324,23 +325,6 @@ impl SpofReport {
         out.push('}');
         out
     }
-}
-
-/// Minimal JSON string escaping for the identifiers this report embeds
-/// (domain names, provider labels, country codes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -21,12 +21,11 @@ use std::path::{Path, PathBuf};
 
 use govdns_core::report::Report;
 use govdns_core::{Campaign, ProbeClient, RateLimiter, RetryPolicy};
+use govdns_model::persist::{escape_into, parse, Value};
 use govdns_model::DomainName;
 use govdns_simnet::ChaosProfile;
 use govdns_trace::{read_trace, TraceLog, TraceRecord, TraceSpec, Tracer};
 use govdns_world::{WorldConfig, WorldGenerator};
-
-use crate::json::{self, escape_into, Json};
 
 /// How many offending domains a case archives at most.
 pub const CAPTURE_CAP: usize = 8;
@@ -186,70 +185,40 @@ impl CorpusCase {
     ///
     /// Returns a message naming the first malformed field.
     pub fn from_json(text: &str) -> Result<CorpusCase, String> {
-        let doc = json::parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("corpus case lacks string {key:?}"))
-        };
-        let num = |value: Option<&Json>, what: &str| -> Result<u64, String> {
-            value.and_then(Json::as_u64).ok_or_else(|| format!("corpus case lacks count {what:?}"))
-        };
-        let chaos = match doc.get("chaos") {
-            None | Some(Json::Null) => None,
-            Some(value) => {
-                let pair = value.as_arr().filter(|a| a.len() == 2).ok_or("bad \"chaos\" pair")?;
-                let label = pair[0].as_str().ok_or("bad chaos profile")?;
-                let profile = parse_profile(label)
-                    .ok_or_else(|| format!("unknown chaos profile {label:?}"))?;
-                Some((profile, num(Some(&pair[1]), "chaos seed")?))
-            }
-        };
-        let retry = doc.get("retry").ok_or("corpus case lacks \"retry\"")?;
-        let retry = RetryPolicy {
-            max_attempts: num(retry.get("max_attempts"), "retry.max_attempts")? as u32,
-            base_backoff_ms: num(retry.get("base_backoff_ms"), "retry.base_backoff_ms")? as u32,
-            max_backoff_ms: num(retry.get("max_backoff_ms"), "retry.max_backoff_ms")? as u32,
-            per_destination_budget: None,
-        };
-        let domains = doc
-            .get("domains")
-            .and_then(Json::as_arr)
-            .ok_or("corpus case lacks \"domains\"")?
-            .iter()
-            .map(|d| {
-                Ok(CorpusDomain {
-                    index: num(d.get("index"), "domain index")?,
-                    domain: d
-                        .get("domain")
-                        .and_then(Json::as_str)
-                        .ok_or("domain entry lacks a name")?
-                        .to_owned(),
-                    payload: d
-                        .get("payload")
-                        .and_then(Json::as_str)
-                        .ok_or("domain entry lacks a payload")?
-                        .to_owned(),
-                })
+        let doc = parse(text)?;
+        let string = |v: &Value, key: &str| v.field(key, Value::as_str).map(str::to_owned);
+        let chaos = doc.opt_field("chaos", |pair| match pair.as_arr()? {
+            [label, seed] => Some((parse_profile(label.as_str()?)?, seed.as_u64()?)),
+            _ => None,
+        })?;
+        let retry = doc.field("retry", |r| -> Result<RetryPolicy, String> {
+            Ok(RetryPolicy {
+                max_attempts: r.field("max_attempts", Value::as_int)?,
+                base_backoff_ms: r.field("base_backoff_ms", Value::as_int)?,
+                max_backoff_ms: r.field("max_backoff_ms", Value::as_int)?,
+                per_destination_budget: None,
             })
-            .collect::<Result<Vec<_>, String>>()?;
+        })?;
+        let domain = |d: &Value| -> Result<CorpusDomain, String> {
+            Ok(CorpusDomain {
+                index: d.field("index", Value::as_u64)?,
+                domain: string(d, "domain")?,
+                payload: string(d, "payload")?,
+            })
+        };
         Ok(CorpusCase {
-            name: str_field("name")?,
-            trigger: str_field("trigger")?,
+            name: string(&doc, "name")?,
+            trigger: string(&doc, "trigger")?,
             setup: ReplaySetup {
-                world_seed: num(doc.get("world_seed"), "world_seed")?,
-                scale_ppm: num(doc.get("scale_ppm"), "scale_ppm")?,
+                world_seed: doc.field("world_seed", Value::as_u64)?,
+                scale_ppm: doc.field("scale_ppm", Value::as_u64)?,
                 chaos,
-                max_qps: num(doc.get("max_qps"), "max_qps")? as u32,
+                max_qps: doc.field("max_qps", Value::as_int)?,
                 retry,
-                second_round: doc
-                    .get("second_round")
-                    .and_then(Json::as_bool)
-                    .ok_or("corpus case lacks \"second_round\"")?,
-                flight_capacity: num(doc.get("flight_capacity"), "flight_capacity")? as usize,
+                second_round: doc.field("second_round", Value::as_bool)?,
+                flight_capacity: doc.field("flight_capacity", Value::as_int)?,
             },
-            domains,
+            domains: doc.list("domains", domain)?,
         })
     }
 
@@ -349,7 +318,7 @@ impl CorpusCase {
                 continue;
             }
             let detail = match TraceRecord::decode(&d.payload) {
-                TraceRecord::Domain(recorded) => {
+                Ok(TraceRecord::Domain(recorded)) => {
                     match govdns_trace::first_divergence(&recorded, &block) {
                         Some(div) => format!(
                             "first divergence at event {}: recorded {} / replayed {}",

@@ -13,8 +13,7 @@
 use std::collections::BTreeMap;
 
 use govdns_core::{DomainClass, MeasurementDataset};
-
-use crate::json::{self, Json};
+use govdns_model::persist::{parse, Value};
 
 /// One domain's comparable outcome.
 ///
@@ -90,56 +89,28 @@ impl DatasetView {
     ///
     /// Returns a message when the document is not a canonical dataset.
     pub fn from_canonical_json(text: &str) -> Result<DatasetView, String> {
-        let doc = json::parse(text)?;
-        let probes = doc
-            .get("probes")
-            .and_then(Json::as_arr)
-            .ok_or("dataset JSON lacks a \"probes\" array")?;
-        let mut rows = BTreeMap::new();
-        for (i, p) in probes.iter().enumerate() {
-            let field = |key: &str| -> Result<&Json, String> {
-                p.get(key).ok_or_else(|| format!("probe {i} lacks {key:?}"))
+        let doc = parse(text)?;
+        let row = |p: &Value| -> Result<(String, DomainRow), String> {
+            let degraded = p.field("degraded", Value::as_bool)?;
+            let parent_obs = p.field("parent_observations", Value::as_arr)?;
+            let servers = p.field("servers", Value::as_arr)?;
+            let mut attempts = observed_attempts(parent_obs)?;
+            for s in servers {
+                let obs = s.get("observations").and_then(Value::as_arr).unwrap_or(&[]);
+                attempts = attempts.checked_add(observed_attempts(obs)?).ok_or(OVERFLOW)?;
+            }
+            let row = DomainRow {
+                class: json_class(p, parent_obs, servers, degraded),
+                degraded,
+                queries: p.field("queries", Value::as_u64)?,
+                rounds: p.field("rounds", Value::as_u64)?,
+                attempts,
+                elapsed_ms: p.field("elapsed_ms", Value::as_u64)?,
+                servers: servers.len() as u64,
             };
-            let num = |key: &str| -> Result<u64, String> {
-                field(key)?.as_u64().ok_or_else(|| format!("probe {i} {key:?} is not a count"))
-            };
-            let domain = field("domain")?
-                .as_str()
-                .ok_or_else(|| format!("probe {i} \"domain\" is not a string"))?
-                .to_owned();
-            let degraded = field("degraded")?
-                .as_bool()
-                .ok_or_else(|| format!("probe {i} \"degraded\" is not a bool"))?;
-            let parent_obs = field("parent_observations")?
-                .as_arr()
-                .ok_or_else(|| format!("probe {i} parent_observations is not an array"))?;
-            let servers = field("servers")?
-                .as_arr()
-                .ok_or_else(|| format!("probe {i} servers is not an array"))?;
-            let class = json_class(p, parent_obs, servers, degraded);
-            let attempts = observed_attempts(parent_obs)?
-                + servers
-                    .iter()
-                    .map(|s| {
-                        observed_attempts(
-                            s.get("observations").and_then(Json::as_arr).unwrap_or(&[]),
-                        )
-                    })
-                    .sum::<Result<u64, String>>()?;
-            rows.insert(
-                domain,
-                DomainRow {
-                    class,
-                    degraded,
-                    queries: num("queries")?,
-                    rounds: num("rounds")?,
-                    attempts,
-                    elapsed_ms: num("elapsed_ms")?,
-                    servers: servers.len() as u64,
-                },
-            );
-        }
-        Ok(DatasetView { rows })
+            Ok((p.field("domain", Value::as_str)?.to_owned(), row))
+        };
+        Ok(DatasetView { rows: doc.list("probes", row)?.into_iter().collect() })
     }
 
     /// Per-class row tallies, funnel order.
@@ -160,7 +131,7 @@ impl DatasetView {
 
     /// Sum of delivery attempts across all rows.
     pub fn attempts_total(&self) -> u64 {
-        self.rows.values().map(|r| r.attempts).sum()
+        self.rows.values().fold(0u64, |sum, r| sum.saturating_add(r.attempts))
     }
 
     /// The elapsed-time (RTT-proxy) distribution across all rows.
@@ -209,28 +180,30 @@ impl DatasetView {
     }
 }
 
+const OVERFLOW: &str = "attempt count overflows u64";
+
 /// Sums the `attempts` fields of an observation array.
-fn observed_attempts(observations: &[Json]) -> Result<u64, String> {
-    observations
-        .iter()
-        .map(|o| {
-            o.get("attempts")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "observation lacks an \"attempts\" count".to_string())
-        })
-        .sum()
+fn observed_attempts(observations: &[Value]) -> Result<u64, String> {
+    observations.iter().try_fold(0u64, |sum, o| {
+        sum.checked_add(o.field("attempts", Value::as_u64)?).ok_or_else(|| OVERFLOW.to_owned())
+    })
 }
 
 /// Recomputes [`DomainClass`] from a canonical-JSON probe object using
 /// the same predicates `DomainProbe::class` applies to live probes.
-fn json_class(probe: &Json, parent_obs: &[Json], servers: &[Json], degraded: bool) -> DomainClass {
+fn json_class(
+    probe: &Value,
+    parent_obs: &[Value],
+    servers: &[Value],
+    degraded: bool,
+) -> DomainClass {
     let responded =
-        |o: &Json| !matches!(o.get("class").and_then(Json::as_str), Some("timeout" | "skipped"));
+        |o: &Value| !matches!(o.get("class").and_then(Value::as_str), Some("timeout" | "skipped"));
     let parent_responsive = parent_obs.iter().any(responded);
     let parent_nonempty =
-        probe.get("parent_ns").and_then(Json::as_arr).is_some_and(|ns| !ns.is_empty());
-    let serves_zone = |s: &Json| {
-        s.get("observations").and_then(Json::as_arr).is_some_and(|obs| {
+        probe.get("parent_ns").and_then(Value::as_arr).is_some_and(|ns| !ns.is_empty());
+    let serves_zone = |s: &Value| {
+        s.get("observations").and_then(Value::as_arr).is_some_and(|obs| {
             obs.iter().any(|o| o.get("class").is_some_and(|c| c.get("authoritative").is_some()))
         })
     };
@@ -290,7 +263,8 @@ impl RttSummary {
         let rank = |pct: u64| sorted[((n - 1) * pct / 100) as usize];
         RttSummary {
             count: n,
-            mean_ms: sorted.iter().sum::<u64>() / n,
+            // Summed wide: a mean of u64 values always fits a u64.
+            mean_ms: (sorted.iter().map(|&v| u128::from(v)).sum::<u128>() / u128::from(n)) as u64,
             p50_ms: rank(50),
             p90_ms: rank(90),
             p99_ms: rank(99),

@@ -45,7 +45,6 @@
 
 mod corpus;
 mod dataset;
-pub mod json;
 mod rundiff;
 mod smelldiff;
 

@@ -13,13 +13,13 @@
 
 use std::fmt::Write as _;
 
+use govdns_model::persist::{escape_into, parse, Value};
 use govdns_telemetry::{
     HistogramSnapshot, QueryLedger, ScalarDelta, TelemetryDelta, TelemetrySnapshot,
 };
 use govdns_trace::{align_blocks, divergence_context, first_divergence, TraceLog};
 
 use crate::dataset::{DatasetDiff, DomainRow};
-use crate::json::{self, escape_into, Json};
 use crate::smelldiff::{SmellDiff, SmellTransition};
 
 /// How much surrounding timeline a first-divergence report carries.
@@ -470,11 +470,11 @@ fn json_names(out: &mut String, key: &str, names: &[String]) {
 ///
 /// Returns a message when the document is not a telemetry snapshot.
 pub fn telemetry_from_json(text: &str) -> Result<TelemetrySnapshot, String> {
-    let doc = json::parse(text)?;
+    let doc = parse(text)?;
     let mut snap = TelemetrySnapshot::default();
-    let fields = |key: &str| -> Result<&[(String, Json)], String> {
+    let fields = |key: &str| -> Result<&[(String, Value)], String> {
         doc.get(key)
-            .and_then(Json::as_obj)
+            .and_then(Value::as_obj)
             .ok_or_else(|| format!("telemetry JSON lacks object {key:?}"))
     };
     for (name, value) in fields("counters")? {
@@ -488,7 +488,7 @@ pub fn telemetry_from_json(text: &str) -> Result<TelemetrySnapshot, String> {
     for (name, value) in fields("histograms")? {
         let count = value
             .get("count")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or_else(|| format!("histogram {name:?} lacks a count"))?;
         snap.histograms.insert(
             name.clone(),
@@ -502,8 +502,8 @@ pub fn telemetry_from_json(text: &str) -> Result<TelemetrySnapshot, String> {
             },
         );
     }
-    if let Some(ledger) = doc.get("ledger").filter(|l| !matches!(l, Json::Null)) {
-        let total = ledger.get("total").and_then(Json::as_u64).ok_or("ledger lacks a total")?;
+    if let Some(ledger) = doc.get("ledger").filter(|l| !matches!(l, Value::Null)) {
+        let total = ledger.get("total").and_then(Value::as_u64).ok_or("ledger lacks a total")?;
         snap.ledger = Some(QueryLedger { total, ..QueryLedger::default() });
     }
     Ok(snap)
@@ -516,7 +516,7 @@ pub fn telemetry_from_json(text: &str) -> Result<TelemetrySnapshot, String> {
 ///
 /// Returns a message when the document is not a flat count map.
 pub fn counts_from_json(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let doc = json::parse(text)?;
+    let doc = parse(text)?;
     let fields = doc.as_obj().ok_or("expected a flat JSON object of counts")?;
     fields
         .iter()
@@ -602,10 +602,7 @@ mod tests {
         assert!(text.contains("runs are identical"), "{text}");
         let json = rd.to_json();
         assert!(json.starts_with("{\"differences\":0"), "{json}");
-        assert_eq!(
-            crate::json::parse(&json).unwrap().get("differences").unwrap().as_u64(),
-            Some(0)
-        );
+        assert_eq!(parse(&json).unwrap().get("differences").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -638,7 +635,7 @@ mod tests {
         let json = rd.to_json();
         assert!(json.contains("\"smells\":{\"totals\":[1,2]"), "{json}");
         assert!(json.contains("\"kind\":\"lame_delegation\",\"a\":null,\"b\":65"), "{json}");
-        crate::json::parse(&json).expect("smell section stays parseable");
+        parse(&json).expect("smell section stays parseable");
     }
 
     #[test]

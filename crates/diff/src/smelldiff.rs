@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Json};
+use govdns_model::persist::{parse, Value};
 
 /// The smell surface of one run: domain → smell label → severity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -58,15 +58,14 @@ impl SmellView {
     ///
     /// Returns a message when the document is not a smell report.
     pub fn from_canonical_json(text: &str) -> Result<SmellView, String> {
-        let doc = json::parse(text)?;
+        let doc = parse(text)?;
         let mut rows: BTreeMap<String, BTreeMap<String, u32>> = BTreeMap::new();
-        for v in doc.get("verdicts").and_then(Json::as_arr).ok_or("smell report lacks verdicts")? {
-            let domain =
-                v.get("domain").and_then(Json::as_str).ok_or("verdict lacks a domain")?.to_owned();
-            let kind =
-                v.get("kind").and_then(Json::as_str).ok_or("verdict lacks a kind")?.to_owned();
-            let severity =
-                v.get("severity").and_then(Json::as_u64).ok_or("verdict lacks a severity")? as u32;
+        let verdict = |v: &Value| -> Result<(String, String, u32), String> {
+            let text = |key: &str| v.field(key, Value::as_str).map(str::to_owned);
+            let severity = v.field("severity", Value::as_int::<u32>)?;
+            Ok((text("domain")?, text("kind")?, severity))
+        };
+        for (domain, kind, severity) in doc.list("verdicts", verdict)? {
             rows.entry(domain).or_default().insert(kind, severity);
         }
         Ok(SmellView { rows })

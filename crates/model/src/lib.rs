@@ -23,6 +23,9 @@
 //!   byte volumes.
 //! * [`SimDate`] — a chrono-free civil date used for the 2011–2020
 //!   longitudinal timeline.
+//! * [`persist`] — the persistence primitives every on-disk artifact
+//!   shares: `fnv64`, `J1`/`T1` record framing, the canonical JSON value
+//!   and its strict parser, and the ordered I/O sink.
 //!
 //! ## Example
 //!
@@ -54,6 +57,7 @@ mod date;
 mod error;
 mod message;
 mod name;
+pub mod persist;
 mod record;
 mod rrset;
 mod soa;

@@ -25,8 +25,7 @@
 
 use std::fmt::Write as _;
 
-use govdns_diff::json::{self, escape_into, Json};
-use govdns_world::CountryCode;
+use govdns_model::persist::{escape_into, parse, Value};
 
 pub use govdns_core::analysis::smells::{
     cycle_severity, glue_severity, lame_severity, monoculture_severity, stale_severity, Citation,
@@ -114,53 +113,36 @@ impl SmellReport {
     ///
     /// Returns a description of the first structural problem.
     pub fn from_canonical_json(text: &str) -> Result<SmellReport, String> {
-        let root = json::parse(text)?;
-        let seed = root.get("seed").and_then(Json::as_u64).ok_or("missing seed")?;
-        let scale_ppm = root.get("scale_ppm").and_then(Json::as_u64).ok_or("missing scale_ppm")?;
-        let mut verdicts = Vec::new();
-        for v in root.get("verdicts").and_then(Json::as_arr).ok_or("missing verdicts")? {
-            let field = |k: &str| -> Result<&str, String> {
-                v.get(k).and_then(Json::as_str).ok_or(format!("verdict missing {k}"))
-            };
-            let kind_label = field("kind")?;
-            let kind =
-                SmellKind::parse(kind_label).ok_or(format!("unknown smell kind {kind_label}"))?;
-            let mut evidence = Vec::new();
-            for c in v.get("evidence").and_then(Json::as_arr).ok_or("verdict missing evidence")? {
-                evidence.push(Citation {
-                    seq: c.get("seq").and_then(Json::as_u64).ok_or("citation missing seq")? as u32,
-                    step: c
-                        .get("step")
-                        .and_then(Json::as_str)
-                        .ok_or("citation missing step")?
-                        .to_owned(),
-                    line: c
-                        .get("line")
-                        .and_then(Json::as_str)
-                        .ok_or("citation missing line")?
-                        .to_owned(),
-                });
-            }
-            verdicts.push(SmellVerdict {
-                kind,
-                domain: field("domain")?.parse().map_err(|e| format!("bad domain: {e:?}"))?,
-                country: CountryCode::new(field("country")?),
-                severity: v
-                    .get("severity")
-                    .and_then(Json::as_u64)
-                    .ok_or("verdict missing severity")? as u32,
-                detail: field("detail")?.to_owned(),
-                refactoring: field("refactoring")?.to_owned(),
-                evidence,
-            });
-        }
-        let mut analysis = rebuild(verdicts);
+        let root = parse(text)?;
+        let citation = |c: &Value| -> Result<Citation, String> {
+            Ok(Citation {
+                seq: c.field("seq", Value::as_int)?,
+                step: c.field("step", Value::as_str)?.to_owned(),
+                line: c.field("line", Value::as_str)?.to_owned(),
+            })
+        };
+        let verdict = |v: &Value| -> Result<SmellVerdict, String> {
+            let text = |key: &str| v.field(key, Value::as_str);
+            Ok(SmellVerdict {
+                kind: v.field("kind", |k| SmellKind::parse(k.as_str()?))?,
+                domain: v.field("domain", |d| d.as_str()?.parse().ok())?,
+                country: text("country")?.parse()?,
+                severity: v.field("severity", Value::as_int)?,
+                detail: text("detail")?.to_owned(),
+                refactoring: text("refactoring")?.to_owned(),
+                evidence: v.list("evidence", citation)?,
+            })
+        };
+        let mut analysis = rebuild(root.list("verdicts", verdict)?);
         // Trust the recorded evidence tally (rebuild recomputes it from
         // the verdicts, which is the same number by construction — but
         // asserting the file's own value keeps round trips exact).
-        analysis.evidence_cited =
-            root.get("evidence_cited").and_then(Json::as_u64).ok_or("missing evidence_cited")?;
-        Ok(SmellReport { seed, scale_ppm, analysis })
+        analysis.evidence_cited = root.field("evidence_cited", Value::as_u64)?;
+        Ok(SmellReport {
+            seed: root.field("seed", Value::as_u64)?,
+            scale_ppm: root.field("scale_ppm", Value::as_u64)?,
+            analysis,
+        })
     }
 
     /// Deterministic human-readable summary (no worker counts, no
@@ -236,6 +218,7 @@ fn rebuild(verdicts: Vec<SmellVerdict>) -> SmellAnalysis {
 mod tests {
     use super::*;
     use govdns_model::DomainName;
+    use govdns_world::CountryCode;
 
     fn n(s: &str) -> DomainName {
         s.parse().expect("valid test name")

@@ -1,259 +1,25 @@
 //! Deterministic JSON encoding for trace records.
 //!
-//! Same discipline as the journal's codec: a tiny hand-rolled JSON
-//! subset (`u64` numbers, strings, arrays, insertion-ordered objects)
-//! so the encoding is byte-stable across platforms and runs — the trace
-//! determinism CI gate literally `cmp`s two trace files. Decoding a
-//! record that passed its frame checksum but does not match the schema
-//! panics: that is a format bug, not data corruption.
+//! Records are built and parsed with the shared canonical JSON of
+//! [`govdns_model::persist`], so the encoding is byte-stable across
+//! platforms and runs — the trace determinism CI gate literally `cmp`s
+//! two trace files. The per-event hot path ([`write_event`]) writes
+//! straight into a string instead of building a value tree. Decoding is
+//! total: a record that passed its frame checksum but does not match the
+//! schema is an `Err`, never a panic.
 
 use std::net::Ipv4Addr;
 
+use govdns_model::persist::{escape_into, parse, Value};
+
 use crate::event::{DomainBlock, FlightDump, Step, TraceData, TraceEvent};
 
-/// The JSON subset trace records are built from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+fn addr(v: &Value) -> Option<Ipv4Addr> {
+    v.as_str()?.parse().ok()
 }
 
-impl Value {
-    fn encode(&self, out: &mut String) {
-        match self {
-            Value::Num(n) => out.push_str(&n.to_string()),
-            Value::Str(s) => encode_string(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_string(k, out);
-                    out.push(':');
-                    v.encode(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    // Fast path: nothing to escape (UTF-8 continuation bytes are ≥ 0x80,
-    // so a byte scan is sound).
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
-    } else {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-    out.push('"');
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-// ---------------------------------------------------------------- parse
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.skip_ws();
-        assert_eq!(self.bytes.get(self.pos), Some(&b), "trace record: expected {:?}", b as char);
-        self.pos += 1;
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        *self.bytes.get(self.pos).expect("trace record: truncated")
-    }
-
-    fn value(&mut self) -> Value {
-        match self.peek() {
-            b'"' => Value::Str(self.string()),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == b']' {
-                    self.pos += 1;
-                    return Value::Arr(items);
-                }
-                loop {
-                    items.push(self.value());
-                    match self.peek() {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Value::Arr(items);
-                        }
-                        other => panic!("trace record: bad array separator {:?}", other as char),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == b'}' {
-                    self.pos += 1;
-                    return Value::Obj(fields);
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string();
-                    self.expect(b':');
-                    fields.push((key, self.value()));
-                    match self.peek() {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Value::Obj(fields);
-                        }
-                        other => panic!("trace record: bad object separator {:?}", other as char),
-                    }
-                }
-            }
-            b'0'..=b'9' => {
-                let start = self.pos;
-                while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                Value::Num(text.parse().expect("trace record: number overflow"))
-            }
-            other => panic!("trace record: unexpected byte {:?}", other as char),
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied().expect("trace record: unterminated string") {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc =
-                        self.bytes.get(self.pos).copied().expect("trace record: truncated escape");
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .expect("trace record: bad \\u escape");
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(hex, 16).expect("trace record: bad \\u escape");
-                            out.push(char::from_u32(code).expect("trace record: bad \\u escape"));
-                        }
-                        other => panic!("trace record: bad escape {:?}", other as char),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the payload came from a
-                    // &str, so boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Value {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.skip_ws();
-    assert_eq!(p.pos, p.bytes.len(), "trace record: trailing bytes");
-    v
-}
-
-// -------------------------------------------------------- field helpers
-
-fn need<'v>(fields: &'v [(String, Value)], key: &str) -> &'v Value {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("trace record: missing field `{key}`"))
-}
-
-fn get<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn need_num(fields: &[(String, Value)], key: &str) -> u64 {
-    match need(fields, key) {
-        Value::Num(n) => *n,
-        _ => panic!("trace record: field `{key}` is not a number"),
-    }
-}
-
-fn need_str(fields: &[(String, Value)], key: &str) -> String {
-    match need(fields, key) {
-        Value::Str(s) => s.clone(),
-        _ => panic!("trace record: field `{key}` is not a string"),
-    }
-}
-
-fn need_arr<'v>(fields: &'v [(String, Value)], key: &str) -> &'v [Value] {
-    match need(fields, key) {
-        Value::Arr(items) => items,
-        _ => panic!("trace record: field `{key}` is not an array"),
-    }
-}
-
-fn addr_from(v: &Value) -> Ipv4Addr {
-    match v {
-        Value::Str(s) => s.parse().expect("trace record: bad address"),
-        _ => panic!("trace record: address is not a string"),
-    }
+fn string(v: &Value) -> Option<String> {
+    v.as_str().map(str::to_owned)
 }
 
 // ---------------------------------------------------------- event codec
@@ -273,23 +39,23 @@ fn write_event(e: &TraceEvent, out: &mut String) {
         TraceData::Fault { dst, attempt, verdict, extra_ms } => {
             let _ = write!(out, ",\"kind\":\"fault\",\"dst\":\"{dst}\",\"attempt\":{attempt}");
             out.push_str(",\"verdict\":");
-            encode_string(verdict, out);
+            escape_into(verdict, out);
             let _ = write!(out, ",\"extra_ms\":{extra_ms}");
         }
         TraceData::Response { dst, attempt, class, ms } => {
             let _ = write!(out, ",\"kind\":\"response\",\"dst\":\"{dst}\",\"attempt\":{attempt}");
             out.push_str(",\"class\":");
-            encode_string(class, out);
+            escape_into(class, out);
             let _ = write!(out, ",\"ms\":{ms}");
         }
         TraceData::Referral { cut, targets } => {
             out.push_str(",\"kind\":\"referral\",\"cut\":");
-            encode_string(cut, out);
+            escape_into(cut, out);
             let _ = write!(out, ",\"targets\":{targets}");
         }
         TraceData::Resolve { host, addrs } => {
             out.push_str(",\"kind\":\"resolve\",\"host\":");
-            encode_string(host, out);
+            escape_into(host, out);
             out.push_str(",\"addrs\":[");
             for (i, a) in addrs.iter().enumerate() {
                 if i > 0 {
@@ -301,7 +67,7 @@ fn write_event(e: &TraceEvent, out: &mut String) {
         }
         TraceData::Charge { round, dst } => {
             out.push_str(",\"kind\":\"charge\",\"round\":");
-            encode_string(round, out);
+            escape_into(round, out);
             if let Some(dst) = dst {
                 let _ = write!(out, ",\"dst\":\"{dst}\"");
             }
@@ -324,11 +90,11 @@ fn write_event(e: &TraceEvent, out: &mut String) {
         TraceData::Breaker { dst, transition } => {
             let _ = write!(out, ",\"kind\":\"breaker\",\"dst\":\"{dst}\"");
             out.push_str(",\"transition\":");
-            encode_string(transition, out);
+            escape_into(transition, out);
         }
         TraceData::Note { text } => {
             out.push_str(",\"kind\":\"note\",\"text\":");
-            encode_string(text, out);
+            escape_into(text, out);
         }
     }
     out.push('}');
@@ -352,7 +118,7 @@ pub(crate) fn encode_domain(block: &DomainBlock) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + block.events.len() * 96);
     let _ = write!(out, "{{\"kind\":\"domain\",\"index\":{},\"domain\":", block.index);
-    encode_string(&block.domain, &mut out);
+    escape_into(&block.domain, &mut out);
     if block.dropped > 0 {
         let _ = write!(out, ",\"dropped\":{}", block.dropped);
     }
@@ -368,13 +134,13 @@ pub(crate) fn encode_dump(dump: &FlightDump) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + dump.events.len() * 96);
     out.push_str("{\"kind\":\"dump\",\"trigger\":");
-    encode_string(&dump.trigger, &mut out);
+    escape_into(&dump.trigger, &mut out);
     if let Some(index) = dump.index {
         let _ = write!(out, ",\"index\":{index}");
     }
     if let Some(domain) = &dump.domain {
         out.push_str(",\"domain\":");
-        encode_string(domain, &mut out);
+        escape_into(domain, &mut out);
     }
     let _ = write!(out, ",\"ord\":{}", dump.ord);
     out.push_str(",\"events\":");
@@ -383,58 +149,39 @@ pub(crate) fn encode_dump(dump: &FlightDump) -> String {
     out
 }
 
-fn event_from_value(v: &Value) -> TraceEvent {
-    let Value::Obj(fields) = v else { panic!("trace record: event is not an object") };
-    let seq = u32::try_from(need_num(fields, "seq")).expect("trace record: seq overflow");
-    let step_label = need_str(fields, "step");
-    let step = Step::parse(&step_label)
-        .unwrap_or_else(|| panic!("trace record: unknown step `{step_label}`"));
-    let kind = need_str(fields, "kind");
-    let attempt = |key: &str| u32::try_from(need_num(fields, key)).expect("attempt overflow");
-    let data = match kind.as_str() {
-        "send" => {
-            TraceData::Send { dst: addr_from(need(fields, "dst")), attempt: attempt("attempt") }
-        }
+fn event_from_value(v: &Value) -> Result<TraceEvent, String> {
+    let seq = v.field("seq", Value::as_int)?;
+    let step = v.field("step", |s| Step::parse(s.as_str()?))?;
+    let dst = || v.field("dst", addr);
+    let attempt = || v.field("attempt", Value::as_int);
+    let text = |key: &str| v.field(key, string);
+    let num = |key: &str| v.field(key, Value::as_u64);
+    let data = match v.field("kind", Value::as_str)? {
+        "send" => TraceData::Send { dst: dst()?, attempt: attempt()? },
         "fault" => TraceData::Fault {
-            dst: addr_from(need(fields, "dst")),
-            attempt: attempt("attempt"),
-            verdict: need_str(fields, "verdict"),
-            extra_ms: need_num(fields, "extra_ms"),
+            dst: dst()?,
+            attempt: attempt()?,
+            verdict: text("verdict")?,
+            extra_ms: num("extra_ms")?,
         },
         "response" => TraceData::Response {
-            dst: addr_from(need(fields, "dst")),
-            attempt: attempt("attempt"),
-            class: need_str(fields, "class"),
-            ms: need_num(fields, "ms"),
+            dst: dst()?,
+            attempt: attempt()?,
+            class: text("class")?,
+            ms: num("ms")?,
         },
-        "referral" => TraceData::Referral {
-            cut: need_str(fields, "cut"),
-            targets: need_num(fields, "targets"),
-        },
-        "resolve" => TraceData::Resolve {
-            host: need_str(fields, "host"),
-            addrs: need_arr(fields, "addrs").iter().map(addr_from).collect(),
-        },
-        "charge" => TraceData::Charge {
-            round: need_str(fields, "round"),
-            dst: get(fields, "dst").map(addr_from),
-        },
-        "retry_denied" => TraceData::RetryDenied { dst: addr_from(need(fields, "dst")) },
-        "backoff" => TraceData::Backoff {
-            dst: addr_from(need(fields, "dst")),
-            attempt: attempt("attempt"),
-            ms: need_num(fields, "ms"),
-        },
-        "breaker_denied" => TraceData::BreakerDenied { dst: addr_from(need(fields, "dst")) },
-        "breaker_trial" => TraceData::BreakerTrial { dst: addr_from(need(fields, "dst")) },
-        "breaker" => TraceData::Breaker {
-            dst: addr_from(need(fields, "dst")),
-            transition: need_str(fields, "transition"),
-        },
-        "note" => TraceData::Note { text: need_str(fields, "text") },
-        other => panic!("trace record: unknown event kind `{other}`"),
+        "referral" => TraceData::Referral { cut: text("cut")?, targets: num("targets")? },
+        "resolve" => TraceData::Resolve { host: text("host")?, addrs: v.list("addrs", addr)? },
+        "charge" => TraceData::Charge { round: text("round")?, dst: v.opt_field("dst", addr)? },
+        "retry_denied" => TraceData::RetryDenied { dst: dst()? },
+        "backoff" => TraceData::Backoff { dst: dst()?, attempt: attempt()?, ms: num("ms")? },
+        "breaker_denied" => TraceData::BreakerDenied { dst: dst()? },
+        "breaker_trial" => TraceData::BreakerTrial { dst: dst()? },
+        "breaker" => TraceData::Breaker { dst: dst()?, transition: text("transition")? },
+        "note" => TraceData::Note { text: text("text")? },
+        other => return Err(format!("unknown event kind {other:?}")),
     };
-    TraceEvent { seq, step, data }
+    Ok(TraceEvent { seq, step, data })
 }
 
 // --------------------------------------------------------- record codec
@@ -487,8 +234,8 @@ impl TraceRecord {
     pub fn encode(&self) -> String {
         let value = match self {
             TraceRecord::Header { version, seed, sample_ppm, flight_capacity, domains } => {
-                obj(vec![
-                    ("kind", Value::Str("header".into())),
+                Value::obj(vec![
+                    ("kind", "header".into()),
                     ("version", Value::Num(*version)),
                     ("seed", Value::Num(*seed)),
                     ("sample_ppm", Value::Num(*sample_ppm)),
@@ -496,81 +243,67 @@ impl TraceRecord {
                     ("domains", Value::Num(*domains)),
                 ])
             }
-            TraceRecord::Stage { name, mark } => obj(vec![
-                ("kind", Value::Str("stage".into())),
-                ("name", Value::Str(name.clone())),
-                ("mark", Value::Str(mark.clone())),
+            TraceRecord::Stage { name, mark } => Value::obj(vec![
+                ("kind", "stage".into()),
+                ("name", name.as_str().into()),
+                ("mark", mark.as_str().into()),
             ]),
             TraceRecord::Resume { from } => {
-                obj(vec![("kind", Value::Str("resume".into())), ("from", Value::Num(*from))])
+                Value::obj(vec![("kind", "resume".into()), ("from", Value::Num(*from))])
             }
             TraceRecord::Domain(block) => return encode_domain(block),
             TraceRecord::Dump(dump) => return encode_dump(dump),
-            TraceRecord::Complete { domains, events, dumps } => obj(vec![
-                ("kind", Value::Str("complete".into())),
+            TraceRecord::Complete { domains, events, dumps } => Value::obj(vec![
+                ("kind", "complete".into()),
                 ("domains", Value::Num(*domains)),
                 ("events", Value::Num(*events)),
                 ("dumps", Value::Num(*dumps)),
             ]),
         };
-        let mut out = String::new();
-        value.encode(&mut out);
-        out
+        value.to_json()
     }
 
     /// Decodes a record that already passed its frame checksum.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any schema mismatch — a checksummed-but-undecodable
-    /// record means a format bug, not torn bytes.
-    pub fn decode(json: &str) -> TraceRecord {
-        let Value::Obj(fields) = parse_json(json) else { panic!("trace record: not an object") };
-        let kind = need_str(&fields, "kind");
-        match kind.as_str() {
+    /// Returns a message when the payload is not well-formed JSON or
+    /// does not match the record schema.
+    pub fn decode(json: &str) -> Result<TraceRecord, String> {
+        let v = parse(json)?;
+        let num = |key: &str| v.field(key, Value::as_u64);
+        let text = |key: &str| v.field(key, string);
+        let events = || v.list("events", event_from_value);
+        Ok(match v.field("kind", Value::as_str)? {
             "header" => TraceRecord::Header {
-                version: need_num(&fields, "version"),
-                seed: need_num(&fields, "seed"),
-                sample_ppm: need_num(&fields, "sample_ppm"),
-                flight_capacity: need_num(&fields, "flight_capacity"),
-                domains: need_num(&fields, "domains"),
+                version: num("version")?,
+                seed: num("seed")?,
+                sample_ppm: num("sample_ppm")?,
+                flight_capacity: num("flight_capacity")?,
+                domains: num("domains")?,
             },
-            "stage" => TraceRecord::Stage {
-                name: need_str(&fields, "name"),
-                mark: need_str(&fields, "mark"),
-            },
-            "resume" => TraceRecord::Resume { from: need_num(&fields, "from") },
+            "stage" => TraceRecord::Stage { name: text("name")?, mark: text("mark")? },
+            "resume" => TraceRecord::Resume { from: num("from")? },
             "domain" => TraceRecord::Domain(DomainBlock {
-                index: need_num(&fields, "index"),
-                domain: need_str(&fields, "domain"),
-                dropped: get(&fields, "dropped")
-                    .map(|v| match v {
-                        Value::Num(n) => u32::try_from(*n).expect("dropped overflow"),
-                        _ => panic!("trace record: `dropped` is not a number"),
-                    })
-                    .unwrap_or(0),
-                events: need_arr(&fields, "events").iter().map(event_from_value).collect(),
+                index: num("index")?,
+                domain: text("domain")?,
+                dropped: v.opt_field("dropped", Value::as_int)?.unwrap_or(0),
+                events: events()?,
             }),
             "dump" => TraceRecord::Dump(FlightDump {
-                trigger: need_str(&fields, "trigger"),
-                index: get(&fields, "index").map(|v| match v {
-                    Value::Num(n) => *n,
-                    _ => panic!("trace record: `index` is not a number"),
-                }),
-                domain: get(&fields, "domain").map(|v| match v {
-                    Value::Str(s) => s.clone(),
-                    _ => panic!("trace record: `domain` is not a string"),
-                }),
-                ord: u32::try_from(need_num(&fields, "ord")).expect("ord overflow"),
-                events: need_arr(&fields, "events").iter().map(event_from_value).collect(),
+                trigger: text("trigger")?,
+                index: v.opt_field("index", Value::as_u64)?,
+                domain: v.opt_field("domain", string)?,
+                ord: v.field("ord", Value::as_int)?,
+                events: events()?,
             }),
             "complete" => TraceRecord::Complete {
-                domains: need_num(&fields, "domains"),
-                events: need_num(&fields, "events"),
-                dumps: need_num(&fields, "dumps"),
+                domains: num("domains")?,
+                events: num("events")?,
+                dumps: num("dumps")?,
             },
-            other => panic!("trace record: unknown kind `{other}`"),
-        }
+            other => return Err(format!("unknown record kind {other:?}")),
+        })
     }
 }
 
@@ -663,21 +396,15 @@ mod tests {
         ];
         for r in records {
             let json = r.encode();
-            let back = TraceRecord::decode(&json);
+            let back = TraceRecord::decode(&json).unwrap();
             assert_eq!(back, r);
             assert_eq!(back.encode(), json, "re-encode not byte-identical");
         }
     }
 
     #[test]
-    fn strings_with_escapes_survive() {
-        let r = TraceRecord::Stage { name: "a\"b\\c\nd\te\u{1}".into(), mark: "begin".into() };
-        assert_eq!(TraceRecord::decode(&r.encode()), r);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown kind")]
-    fn unknown_kind_panics() {
-        TraceRecord::decode("{\"kind\":\"mystery\"}");
+    fn unknown_kind_is_an_error() {
+        let err = TraceRecord::decode("{\"kind\":\"mystery\"}").unwrap_err();
+        assert!(err.contains("unknown record kind"), "{err}");
     }
 }

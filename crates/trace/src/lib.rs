@@ -35,7 +35,7 @@
 //!     dropped: 0,
 //!     events,
 //! });
-//! assert_eq!(TraceRecord::decode(&record.encode()).encode(), record.encode());
+//! assert_eq!(TraceRecord::decode(&record.encode()).unwrap().encode(), record.encode());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +44,6 @@
 mod codec;
 mod diff;
 mod event;
-mod frame;
 mod read;
 mod ring;
 mod sample;
@@ -56,7 +55,6 @@ pub use diff::{
     EventDivergence,
 };
 pub use event::{DomainBlock, FlightDump, Step, TraceData, TraceEvent};
-pub use frame::{fnv64, read_frame, write_frame, FRAME_HEADER_LEN};
 pub use read::{read_trace, TraceHeader, TraceLog};
 pub use ring::EventRing;
 pub use sample::{TraceSampler, SAMPLE_FULL};

@@ -8,9 +8,10 @@
 use std::io;
 use std::path::Path;
 
+use govdns_model::persist::read_frame;
+
 use crate::codec::TraceRecord;
 use crate::event::{DomainBlock, FlightDump};
-use crate::frame::read_frame;
 
 /// The header frame's fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,20 +69,21 @@ impl TraceLog {
 
 /// Reads and decodes a trace file, dropping any torn tail.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a frame passes its checksum but fails to decode — a
-/// format bug, not corruption (corruption fails the checksum and lands
-/// in [`TraceLog::dropped_bytes`]).
+/// Returns the I/O error if the file cannot be read, and
+/// [`io::ErrorKind::InvalidData`] if a frame passes its checksum but
+/// fails to decode (corruption that happens to fail the checksum lands
+/// in [`TraceLog::dropped_bytes`] instead).
 pub fn read_trace(path: impl AsRef<Path>) -> io::Result<TraceLog> {
     let bytes = std::fs::read(path)?;
     let mut log = TraceLog::default();
     let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some((payload, next)) = read_frame(&bytes, offset) else {
-            break;
-        };
-        match TraceRecord::decode(payload) {
+    while let Some((payload, next)) = read_frame(&bytes, offset, b"T1") {
+        let record = TraceRecord::decode(payload).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("trace frame at byte {offset}: {e}"))
+        })?;
+        match record {
             TraceRecord::Header { version, seed, sample_ppm, flight_capacity, domains } => {
                 log.header =
                     Some(TraceHeader { version, seed, sample_ppm, flight_capacity, domains });
@@ -101,7 +103,7 @@ pub fn read_trace(path: impl AsRef<Path>) -> io::Result<TraceLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_frame;
+    use govdns_model::persist::write_frame;
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
@@ -111,6 +113,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(
             &mut buf,
+            b"T1",
             &TraceRecord::Stage { name: "round1".into(), mark: "begin".into() }.encode(),
         );
         buf.extend_from_slice(b"T1 0123456789abcdef 000000ff\n{\"kind\":\"dom");

@@ -1,57 +1,47 @@
 //! The trace sink: per-worker recorders feeding one ordered file
-//! through a dedicated I/O thread.
+//! through the shared [`OrderedSink`] I/O thread.
 //!
 //! **Hot-path discipline.** Probing workers only ever touch their own
 //! [`WorkerTracer`] — a plain ring buffer, no locks, no atomics. When a
 //! worker finishes a domain (or triggers a flight dump) it sends one
-//! message down a bounded channel to the sink I/O thread and returns
-//! immediately; it never acquires a sink mutex. JSON encoding and
-//! framing of blocks and dumps happen on the I/O thread, off the
-//! probing path entirely. The only way a worker can stall is
-//! backpressure — the channel filling faster than the I/O thread
-//! drains it — and that wait is measured ([`Tracer::wait_ns`]) so the
-//! campaign bench and the e2e suite can assert it stays at zero.
+//! message to the sink and returns; JSON encoding and framing happen on
+//! the I/O thread. Backpressure waits are measured ([`Tracer::wait_ns`])
+//! so the campaign bench and the e2e suite can assert they stay at zero.
 //!
 //! **Determinism.** The file must be byte-identical at any worker
-//! count, so blocks cannot be written in completion order. The I/O
-//! thread owns a reorder buffer keyed by campaign domain index and
-//! drains it in index order; unsampled domains submit an empty
-//! placeholder so the drain never stalls. Campaign-level frames
-//! (header, stage marks, resume marker, completion trailer,
+//! count, so domain blocks are sink items keyed by campaign index and
+//! written in index order; unsampled domains submit a `None`
+//! placeholder so the in-order drain never stalls. Campaign-level
+//! frames (header, stage marks, resume marker, completion trailer,
 //! analysis-panic dumps) are written only from single-threaded runner
-//! sections; they travel down the same FIFO channel, so every block
-//! submitted before them lands first and their file position is fixed
-//! too. Flight dumps are collected during the run (bounded by
-//! [`TraceSpec::max_dumps`]) and written at [`Tracer::finish`] sorted
-//! by `(domain index, ordinal)` — a total order on unique keys, so the
-//! arrival interleaving never shows in the file.
+//! sections; stage marks travel down the same FIFO channel, so every
+//! block submitted before them lands first. Flight dumps are collected
+//! during the run (bounded by [`TraceSpec::max_dumps`]) and written at
+//! [`Tracer::finish`] sorted by `(domain index, ordinal)` — a total
+//! order on unique keys, so the arrival interleaving never shows in the
+//! file.
 //!
-//! **Shutdown.** [`Tracer::finish`] sends a final message, joins the
-//! I/O thread, reclaims the sink, and writes the sorted dumps plus the
-//! completion trailer. If a probing worker panics and the campaign
-//! unwinds without calling `finish`, dropping the `Tracer` closes the
-//! channel; the I/O thread drains what it has and exits, and the
-//! buffered writer flushes best-effort on drop — the file is left
-//! without its completion trailer, which readers already treat as an
-//! interrupted trace.
+//! **Shutdown.** [`Tracer::finish`] joins the I/O thread, reclaims the
+//! file, and writes the sorted dumps plus the completion trailer. If a
+//! probing worker panics and the campaign unwinds without calling
+//! `finish`, the sink thread drains what it has and the buffered writer
+//! flushes best-effort on drop — the file is left without its
+//! completion trailer, which readers already treat as an interrupted
+//! trace.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use govdns_model::persist::{write_frame, OrderedSink, SinkConsumer};
 use govdns_model::DomainName;
 
-use crate::codec::TraceRecord;
+use crate::codec::{encode_domain, encode_dump, TraceRecord};
 use crate::event::{DomainBlock, FlightDump, Step, TraceData};
-use crate::frame::write_frame;
 use crate::ring::EventRing;
 use crate::sample::{TraceSampler, SAMPLE_FULL};
 
@@ -63,12 +53,6 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 512;
 /// under `ChaosProfile::Hostile` cannot grow the dump buffer without
 /// limit.
 pub const DEFAULT_MAX_DUMPS: usize = 65_536;
-
-/// Bounded sink-channel capacity, in messages. Each message is one
-/// finished domain block (or one flight dump), so the queue bounds
-/// memory at roughly `capacity × flight_capacity` events while leaving
-/// enough slack that workers never block on a healthy I/O thread.
-const SINK_CHANNEL_CAPACITY: usize = 1024;
 
 /// Where and how to trace a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,67 +106,64 @@ impl TraceSpec {
     }
 }
 
-/// One message to the sink I/O thread.
-enum SinkMsg {
-    /// A finished domain block (`None` = unsampled placeholder).
-    Block(u64, Option<DomainBlock>),
+/// A side message to the sink I/O thread.
+enum Side {
     /// A flight dump, held until `finish`.
     Dump(FlightDump),
     /// A stage-boundary frame (single-threaded call sites only).
     Stage(String, String),
-    /// Drain and hand the sink back through the thread's return value.
-    Finish,
 }
 
-struct Sink {
+/// The trace file and everything the I/O thread accumulates, handed
+/// back at `finish`.
+struct TraceFile {
     writer: io::BufWriter<fs::File>,
-    /// Next domain index the file is waiting for.
-    next: u64,
-    /// Blocks that finished ahead of `next` (`None` = unsampled).
-    pending: BTreeMap<u64, Option<DomainBlock>>,
+    /// Scratch buffer each frame is assembled in.
+    frame: Vec<u8>,
     domains_written: u64,
     events_written: u64,
     /// The highest-index sampled block written so far — the context an
     /// analysis-panic dump records.
     last_block: Option<DomainBlock>,
-    finished: bool,
-}
-
-impl Sink {
-    fn frame(&mut self, record: &TraceRecord) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &record.encode());
-        self.writer.write_all(&buf).expect("trace sink write failed");
-    }
-
-    fn drain(&mut self) {
-        while let Some(slot) = self.pending.remove(&self.next) {
-            if let Some(block) = slot {
-                self.domains_written += 1;
-                self.events_written += block.events.len() as u64;
-                let bytes = framed(&crate::codec::encode_domain(&block));
-                self.writer.write_all(&bytes).expect("trace sink write failed");
-                self.last_block = Some(block);
-            }
-            self.next += 1;
-        }
-    }
-}
-
-/// Everything the I/O thread owns, handed back at `finish`.
-struct SinkState {
-    sink: Sink,
     /// Flight dumps in arrival order, written sorted at `finish`.
     dumps: Vec<FlightDump>,
+    max_dumps: usize,
+    dumps_dropped: Arc<AtomicU64>,
     /// Ordinal for analysis-panic dumps appended after `finish`.
     analysis_ord: u32,
 }
 
-/// Frames a pre-encoded record payload.
-fn framed(payload: &str) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(payload.len() + 32);
-    write_frame(&mut buf, payload);
-    buf
+impl TraceFile {
+    fn write(&mut self, payload: &str) {
+        self.frame.clear();
+        write_frame(&mut self.frame, b"T1", payload);
+        self.writer.write_all(&self.frame).expect("trace sink write failed");
+    }
+}
+
+impl SinkConsumer for TraceFile {
+    /// A finished domain block (`None` = unsampled placeholder).
+    type Item = Option<DomainBlock>;
+    type Side = Side;
+
+    fn item(&mut self, _index: u64, block: Option<DomainBlock>) {
+        if let Some(block) = block {
+            self.domains_written += 1;
+            self.events_written += block.events.len() as u64;
+            self.write(&encode_domain(&block));
+            self.last_block = Some(block);
+        }
+    }
+
+    fn side(&mut self, msg: Side, _next: u64) {
+        match msg {
+            Side::Dump(dump) if self.dumps.len() < self.max_dumps => self.dumps.push(dump),
+            Side::Dump(_) => {
+                self.dumps_dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            Side::Stage(name, mark) => self.write(&TraceRecord::Stage { name, mark }.encode()),
+        }
+    }
 }
 
 /// The shared trace sink for one campaign. Create with
@@ -191,21 +172,11 @@ fn framed(payload: &str) -> Vec<u8> {
 pub struct Tracer {
     spec: TraceSpec,
     sampler: TraceSampler,
-    /// Channel to the sink I/O thread. Workers send and return; they
-    /// never hold a sink lock.
-    tx: SyncSender<SinkMsg>,
-    /// The I/O thread, joined (and its state reclaimed) at `finish`.
-    io: Mutex<Option<JoinHandle<SinkState>>>,
-    /// The reclaimed sink after `finish` — what `analysis_dump` appends
+    /// The I/O thread. Workers send and return; they never hold a lock.
+    sink: OrderedSink<TraceFile>,
+    /// The reclaimed file after `finish` — what `analysis_dump` appends
     /// through.
-    done: Mutex<Option<SinkState>>,
-    /// Nanoseconds workers spent blocked on a full sink channel
-    /// (backpressure); zero in a healthy run.
-    wait_ns: AtomicU64,
-    /// Messages currently queued (sent, not yet processed).
-    queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth`.
-    queue_hwm: AtomicU64,
+    done: Mutex<Option<TraceFile>>,
     /// Dumps discarded over [`TraceSpec::max_dumps`].
     dumps_dropped: Arc<AtomicU64>,
 }
@@ -220,80 +191,43 @@ impl Tracer {
     /// Opens the trace file, writes the header frame (and a resume
     /// marker when `resume_from > 0`), spawns the sink I/O thread, and
     /// returns the shared sink.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the trace file cannot be created.
     pub fn create(spec: &TraceSpec, domains: u64, resume_from: u64) -> io::Result<Arc<Tracer>> {
-        let file = fs::File::create(&spec.path)?;
-        let mut sink = Sink {
-            writer: io::BufWriter::new(file),
-            next: resume_from,
-            pending: BTreeMap::new(),
+        let dumps_dropped = Arc::new(AtomicU64::new(0));
+        let mut file = TraceFile {
+            writer: io::BufWriter::new(fs::File::create(&spec.path)?),
+            frame: Vec::new(),
             domains_written: 0,
             events_written: 0,
             last_block: None,
-            finished: false,
+            dumps: Vec::new(),
+            max_dumps: spec.max_dumps,
+            dumps_dropped: Arc::clone(&dumps_dropped),
+            analysis_ord: 0,
         };
-        sink.frame(&TraceRecord::Header {
-            version: 1,
-            seed: spec.seed,
-            sample_ppm: u64::from(spec.sample_ppm),
-            flight_capacity: spec.flight_capacity as u64,
-            domains,
-        });
+        file.write(
+            &TraceRecord::Header {
+                version: 1,
+                seed: spec.seed,
+                sample_ppm: u64::from(spec.sample_ppm),
+                flight_capacity: spec.flight_capacity as u64,
+                domains,
+            }
+            .encode(),
+        );
         if resume_from > 0 {
-            sink.frame(&TraceRecord::Resume { from: resume_from });
+            file.write(&TraceRecord::Resume { from: resume_from }.encode());
         }
-
-        let (tx, rx) = sync_channel::<SinkMsg>(SINK_CHANNEL_CAPACITY);
-        let dumps_dropped = Arc::new(AtomicU64::new(0));
-        let tracer = Tracer {
+        Ok(Arc::new(Tracer {
             spec: spec.clone(),
             sampler: TraceSampler::new(spec.seed, spec.sample_ppm),
-            tx,
-            io: Mutex::new(None),
+            sink: OrderedSink::spawn("govdns-trace-sink", file, resume_from),
             done: Mutex::new(None),
-            wait_ns: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_hwm: AtomicU64::new(0),
-            dumps_dropped: Arc::clone(&dumps_dropped),
-        };
-        let tracer = Arc::new(tracer);
-
-        let max_dumps = spec.max_dumps;
-        let depth = WeakDepth(Arc::downgrade(&tracer));
-        let handle = std::thread::Builder::new()
-            .name("govdns-trace-sink".into())
-            .spawn(move || {
-                let mut state = SinkState { sink, dumps: Vec::new(), analysis_ord: 0 };
-                // A closed channel (worker panic unwound the campaign
-                // without `finish`) drains what arrived and exits.
-                while let Ok(msg) = rx.recv() {
-                    // Finish bypasses `send` and is never counted.
-                    if !matches!(msg, SinkMsg::Finish) {
-                        depth.dec();
-                    }
-                    match msg {
-                        SinkMsg::Block(index, block) => {
-                            state.sink.pending.insert(index, block);
-                            state.sink.drain();
-                        }
-                        SinkMsg::Dump(dump) => {
-                            if state.dumps.len() < max_dumps {
-                                state.dumps.push(dump);
-                            } else {
-                                dumps_dropped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        SinkMsg::Stage(name, mark) => {
-                            state.sink.frame(&TraceRecord::Stage { name, mark });
-                        }
-                        SinkMsg::Finish => break,
-                    }
-                }
-                state.sink.drain();
-                state
-            })
-            .expect("spawn trace sink thread");
-        *tracer.io.lock() = Some(handle);
-        Ok(tracer)
+            dumps_dropped,
+        }))
     }
 
     /// The spec the tracer was created with.
@@ -309,12 +243,12 @@ impl Tracer {
     /// Nanoseconds workers spent blocked on sink backpressure so far.
     /// Zero means no worker ever waited on the trace pipeline.
     pub fn wait_ns(&self) -> u64 {
-        self.wait_ns.load(Ordering::Relaxed)
+        self.sink.wait_ns()
     }
 
     /// High-water mark of the sink queue depth, in messages.
     pub fn queue_high_water(&self) -> u64 {
-        self.queue_hwm.load(Ordering::Relaxed)
+        self.sink.queue_high_water()
     }
 
     /// Flight dumps discarded over [`TraceSpec::max_dumps`].
@@ -337,29 +271,11 @@ impl Tracer {
         }
     }
 
-    /// Enqueues one message, measuring any backpressure wait.
-    fn send(&self, msg: SinkMsg) {
-        // Count before sending: the I/O thread decrements on receipt,
-        // and counting after delivery would let the decrement land
-        // first and underflow the gauge.
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_hwm.fetch_max(depth, Ordering::Relaxed);
-        match self.tx.try_send(msg) {
-            Ok(()) => {}
-            Err(TrySendError::Full(msg)) => {
-                let start = Instant::now();
-                self.tx.send(msg).expect("trace sink thread died");
-                self.wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            Err(TrySendError::Disconnected(_)) => panic!("trace sink thread died"),
-        }
-    }
-
     /// Writes a stage boundary frame. Call only from single-threaded
     /// runner sections: the FIFO channel places it after every block
     /// already submitted, so its file position is deterministic.
     pub fn stage(&self, name: &str, mark: &str) {
-        self.send(SinkMsg::Stage(name.to_string(), mark.to_string()));
+        self.sink.side(Side::Stage(name.to_string(), mark.to_string()));
     }
 
     /// Submits one domain's finished block (`None` for an unsampled
@@ -367,7 +283,7 @@ impl Tracer {
     /// calling worker only enqueues; encoding, framing, and the ordered
     /// write all happen on the sink I/O thread.
     pub fn submit(&self, index: u64, block: Option<DomainBlock>) {
-        self.send(SinkMsg::Block(index, block));
+        self.sink.item(index, block);
     }
 
     /// Records a flight dump (written to the file at [`finish`], sorted
@@ -376,35 +292,26 @@ impl Tracer {
     ///
     /// [`finish`]: Tracer::finish
     pub fn record_dump(&self, dump: FlightDump) {
-        self.send(SinkMsg::Dump(dump));
+        self.sink.side(Side::Dump(dump));
     }
 
     /// Joins the sink I/O thread, writes the sorted flight dumps and
     /// the completion trailer, then flushes. Idempotent.
     pub fn finish(&self) {
-        let Some(handle) = self.io.lock().take() else {
+        let Some(mut file) = self.sink.finish() else {
             return;
         };
-        self.tx.send(SinkMsg::Finish).expect("trace sink thread died");
-        let mut state = handle.join().expect("trace sink thread panicked");
-        debug_assert!(!state.sink.finished);
         // `(index, ord)` is unique per dump, so the sort is a total
         // order: the file never depends on arrival interleaving.
-        state.dumps.sort_by(|a, b| {
-            let ka = (a.index.unwrap_or(u64::MAX), a.ord);
-            let kb = (b.index.unwrap_or(u64::MAX), b.ord);
-            ka.cmp(&kb)
-        });
-        let n = state.dumps.len() as u64;
-        for dump in &state.dumps {
-            let bytes = framed(&crate::codec::encode_dump(dump));
-            state.sink.writer.write_all(&bytes).expect("trace sink write failed");
+        let mut dumps = std::mem::take(&mut file.dumps);
+        dumps.sort_by_key(|d| (d.index.unwrap_or(u64::MAX), d.ord));
+        for dump in &dumps {
+            file.write(&encode_dump(dump));
         }
-        let (domains, events) = (state.sink.domains_written, state.sink.events_written);
-        state.sink.frame(&TraceRecord::Complete { domains, events, dumps: n });
-        state.sink.writer.flush().expect("trace sink flush failed");
-        state.sink.finished = true;
-        *self.done.lock() = Some(state);
+        let (domains, events) = (file.domains_written, file.events_written);
+        file.write(&TraceRecord::Complete { domains, events, dumps: dumps.len() as u64 }.encode());
+        file.writer.flush().expect("trace sink flush failed");
+        *self.done.lock() = Some(file);
     }
 
     /// Records and appends an analysis-panic dump: the flight
@@ -415,31 +322,18 @@ impl Tracer {
     pub fn analysis_dump(&self, stage: &str) {
         self.finish();
         let mut done = self.done.lock();
-        let state = done.as_mut().expect("trace finished above");
-        let events = state.sink.last_block.as_ref().map(|b| b.events.clone()).unwrap_or_default();
+        let file = done.as_mut().expect("trace finished above");
+        let events = file.last_block.as_ref().map(|b| b.events.clone()).unwrap_or_default();
         let dump = FlightDump {
             trigger: format!("analysis_panic:{stage}"),
             index: None,
             domain: None,
-            ord: state.analysis_ord,
+            ord: file.analysis_ord,
             events,
         };
-        state.analysis_ord += 1;
-        let bytes = framed(&crate::codec::encode_dump(&dump));
-        state.sink.writer.write_all(&bytes).expect("trace sink write failed");
-        state.sink.writer.flush().expect("trace sink flush failed");
-    }
-}
-
-/// A weak handle the I/O thread uses to decrement the queue-depth
-/// gauge without keeping the `Tracer` (and so itself) alive.
-struct WeakDepth(std::sync::Weak<Tracer>);
-
-impl WeakDepth {
-    fn dec(&self) {
-        if let Some(t) = self.0.upgrade() {
-            t.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
+        file.analysis_ord += 1;
+        file.write(&encode_dump(&dump));
+        file.writer.flush().expect("trace sink flush failed");
     }
 }
 
