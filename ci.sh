@@ -203,6 +203,24 @@ cmp corpus/spof/recovery-seed7.json "$cf_dir/r8.json" || {
     echo "  cargo run --release --example counterfactual -- rank ${rec_args[*]} --workers 8 --out corpus/spof/recovery-seed7.json)" >&2
     exit 1
 }
+# Degrade mode (every blast set converted to a 95% probabilistic drop)
+# has its own pin: the same w8 vs w1 and artifact byte-gates.
+deg_args=(--seed 7 --scale 0.002 --max-per-kind 2 --degrade 950000)
+cargo run -q --release --example counterfactual -- rank "${deg_args[@]}" --workers 8 \
+    --out "$cf_dir/d8.json" > "$cf_dir/d8.out"
+cargo run -q --release --example counterfactual -- rank "${deg_args[@]}" --workers 1 \
+    --out "$cf_dir/d1.json" > "$cf_dir/d1.out"
+cmp "$cf_dir/d8.json" "$cf_dir/d1.json" || {
+    echo "degraded-mode smoke: degrade JSON differs between 1 and 8 workers" >&2
+    exit 1
+}
+diff -u "$cf_dir/d8.out" "$cf_dir/d1.out"
+cmp corpus/spof/degrade-seed7.json "$cf_dir/d8.json" || {
+    echo "degraded-mode smoke: sweep no longer matches corpus/spof/degrade-seed7.json" >&2
+    echo "(if the change is intentional, regenerate the artifact with:" >&2
+    echo "  cargo run --release --example counterfactual -- rank ${deg_args[*]} --workers 8 --out corpus/spof/degrade-seed7.json)" >&2
+    exit 1
+}
 # A sweep that enumerates nothing must fail loudly — an empty ranked
 # report upstream of the byte-gates above would pass them vacuously.
 if cargo run -q --release --example counterfactual -- rank --seed 7 --scale 0.002 \

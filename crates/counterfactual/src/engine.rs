@@ -3,11 +3,16 @@
 //!
 //! **Isolation.** A `SimNetwork` hosts one fault plan and accumulates
 //! per-destination ordinals, so concurrent campaigns cannot share one.
-//! Every scenario therefore regenerates its own world from the same
-//! seed (generation is deterministic, so every scenario probes the
-//! *same* internet minus its blast set) and runs a self-contained
-//! campaign against it. Scenarios are embarrassingly parallel; the
-//! sweep fans them out over `workers` threads.
+//! The sweep generates its world once; every scenario campaign and
+//! every recovery replay runs on its own [`SimNetwork::fork`] of that
+//! world's network — the same servers with none of the baseline's
+//! traffic, ordinals or faults, the state a freshly generated network
+//! starts in. The rest of the world is read-only, so every scenario
+//! probes the *same* internet minus its blast set. Scenarios are
+//! embarrassingly parallel; the sweep fans them out over `workers`
+//! threads.
+//!
+//! [`SimNetwork::fork`]: govdns_simnet::SimNetwork::fork
 //!
 //! **Determinism.** Inner campaigns run single-worker with the
 //! worker-count-invariant configuration (no breakers, unlimited retry
@@ -24,14 +29,12 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
-
 use govdns_core::{
     run_campaign, BreakerPolicy, Campaign, JournalSpec, MeasurementDataset, RetryPolicy,
     RunnerConfig,
 };
 use govdns_diff::DatasetView;
-use govdns_world::{World, WorldConfig, WorldGenerator};
+use govdns_world::{WorldConfig, WorldGenerator};
 
 use crate::recovery::{simulate_recovery, RecoveryConfig, RecoveryEntry};
 use crate::scenario::{enumerate_scenarios, EnumerationConfig, PartialDial, Scenario};
@@ -40,7 +43,8 @@ use crate::spof::{is_dark, Darkened, SpofEntry, SpofReport};
 /// Sweep parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
-    /// World seed (baseline and every scenario regenerate from it).
+    /// World seed: the sweep generates one world from it, and the
+    /// baseline and every scenario probe that world.
     pub seed: u64,
     /// World scale, parts-per-million of paper scale.
     pub scale_ppm: u64,
@@ -83,11 +87,6 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    fn generate_world(&self) -> World {
-        let scale = self.scale_ppm as f64 / 1_000_000.0;
-        WorldGenerator::new(WorldConfig::small(self.seed).with_scale(scale)).generate()
-    }
-
     /// The worker-count-invariant inner campaign configuration: one
     /// worker, adaptive retries with no per-destination budget, no
     /// chaos, no breakers — plus the scenario layer under test.
@@ -129,14 +128,14 @@ fn sanitize(id: &str) -> String {
 /// Panics on journal I/O failure or when a scenario's journal belongs
 /// to a different campaign or config.
 pub fn run_sweep(config: &SweepConfig) -> SpofReport {
-    let baseline_world = config.generate_world();
-    let matchers = baseline_world.catalog.matchers();
-    let campaign = Campaign::new(&baseline_world, &matchers);
-    let baseline = run_campaign(&campaign, config.runner_config(None));
+    let scale = config.scale_ppm as f64 / 1_000_000.0;
+    let world = WorldGenerator::new(WorldConfig::small(config.seed).with_scale(scale)).generate();
+    let matchers = world.catalog.matchers();
+    let baseline = run_campaign(&Campaign::new(&world, &matchers), config.runner_config(None));
     let baseline_view = DatasetView::from_dataset(&baseline);
 
     let mut scenarios =
-        enumerate_scenarios(&baseline, &matchers, &baseline_world.asn_db, config.enumeration);
+        enumerate_scenarios(&baseline, &matchers, &world.asn_db, config.enumeration);
     if let Some(filter) = &config.scenario_filter {
         scenarios.retain(|s| s.id().contains(filter.as_str()));
     }
@@ -157,46 +156,35 @@ pub fn run_sweep(config: &SweepConfig) -> SpofReport {
         std::fs::create_dir_all(dir).expect("create journal directory");
     }
 
-    type Outcome = (SpofEntry, Option<RecoveryEntry>);
-    let results: Vec<Mutex<Option<Outcome>>> = scenarios.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = config.workers.clamp(1, scenarios.len().max(1));
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(scenario) = scenarios.get(i) else { break };
-                // A fresh world per scenario: same seed, same internet,
-                // nothing shared with sibling campaigns.
-                let world = config.generate_world();
-                let matchers = world.catalog.matchers();
-                let campaign = Campaign::new(&world, &matchers);
-                let dataset = run_campaign(&campaign, config.runner_config(Some(scenario)));
-                let entry = score_scenario(scenario, &baseline_view, &dataset, &countries);
-                // Recovery replays the outage through a caching
-                // resolver over the domains this scenario darkened —
-                // a fresh world again (the campaign's network still
-                // has the fault plan installed and its accounting is
-                // not part of the timeline model).
-                let recovery = config.recovery.map(|cfg| {
-                    let world = config.generate_world();
-                    let track: Vec<(String, String)> = entry
-                        .darkened
-                        .iter()
-                        .map(|d| (d.domain.clone(), d.country.clone()))
-                        .collect();
-                    simulate_recovery(&world, scenario, cfg, &track)
-                });
-                *results[i].lock() = Some((entry, recovery));
+    let sweep_one = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(scenario) = scenarios.get(i) else { return done };
+            let network = world.network.fork();
+            let campaign = Campaign { network: &network, ..Campaign::new(&world, &matchers) };
+            let dataset = run_campaign(&campaign, config.runner_config(Some(scenario)));
+            let entry = score_scenario(scenario, &baseline_view, &dataset, &countries);
+            // Recovery replays the outage through a caching resolver
+            // over the domains this scenario darkened.
+            let recovery = config.recovery.map(|cfg| {
+                let track: Vec<(String, String)> =
+                    entry.darkened.iter().map(|d| (d.domain.clone(), d.country.clone())).collect();
+                simulate_recovery(&world, scenario, cfg, &track)
             });
+            done.push((i, (entry, recovery)));
         }
-    })
-    .expect("sweep workers do not panic");
+    };
+    let mut outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(sweep_one)).collect();
+        handles.into_iter().flat_map(|h| h.join().expect("sweep workers do not panic")).collect()
+    });
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
 
-    let (entries, recovery): (Vec<SpofEntry>, Vec<Option<RecoveryEntry>>) = results
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every scenario was swept"))
-        .unzip();
+    let (entries, recovery): (Vec<SpofEntry>, Vec<Option<RecoveryEntry>>) =
+        outcomes.into_iter().map(|(_, outcome)| outcome).unzip();
     SpofReport {
         seed: config.seed,
         scale_ppm: config.scale_ppm,

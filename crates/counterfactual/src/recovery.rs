@@ -30,7 +30,6 @@
 
 use std::str::FromStr;
 
-use govdns_core::Campaign;
 use govdns_model::{DomainName, RecordType};
 use govdns_simnet::{FaultPlan, StubResolver};
 use govdns_world::World;
@@ -91,6 +90,10 @@ pub struct RecoveryEntry {
 /// domains in `track` (`(domain, country)` pairs — typically the
 /// scenario's darkened set).
 ///
+/// The replay runs on its own fork of `world.network`, so the caller's
+/// network keeps its traffic, ordinals and fault plan untouched, and
+/// the result does not depend on what that network has carried.
+///
 /// # Panics
 ///
 /// Panics if a tracked domain name does not parse.
@@ -100,10 +103,8 @@ pub fn simulate_recovery(
     config: RecoveryConfig,
     track: &[(String, String)],
 ) -> RecoveryEntry {
-    let matchers = world.catalog.matchers();
-    let campaign = Campaign::new(world, &matchers);
-    let resolver =
-        StubResolver::new(campaign.network, campaign.roots.to_vec()).with_negative_cache();
+    let network = world.network.fork();
+    let resolver = StubResolver::new(&network, world.roots.clone()).with_negative_cache();
     let step = config.step_s.max(1);
 
     let mut domains: Vec<(DomainName, String, String)> = track
@@ -121,7 +122,7 @@ pub fn simulate_recovery(
 
     // The outage: the scenario's fault layer, nothing else.
     let spec = scenario.spec();
-    campaign.network.install_faults(Some(
+    network.install_faults(Some(
         FaultPlan::new(0)
             .with_blackholed_addrs(spec.blackhole_addrs.iter().copied())
             .with_blackholed_prefixes(spec.blackhole_prefixes.iter().copied())
@@ -144,7 +145,7 @@ pub fn simulate_recovery(
 
     // The lift: faults gone, but negative caches (and any stale
     // positive warmth) still govern what resolves when.
-    campaign.network.install_faults(None);
+    network.install_faults(None);
     let mut recover_s: Vec<Option<u64>> = vec![None; domains.len()];
     let mut t = config.window_s + step;
     while t <= config.window_s + RECOVERY_TAIL_CAP_S {
@@ -210,6 +211,7 @@ fn alive(resolver: &StubResolver<'_>, name: &DomainName) -> bool {
 mod tests {
     use std::collections::BTreeSet;
 
+    use govdns_model::Message;
     use govdns_world::{WorldConfig, WorldGenerator};
 
     use super::*;
@@ -281,7 +283,30 @@ mod tests {
         let track = tracked(&w);
         let cfg = RecoveryConfig { window_s: 7200, step_s: 300 };
         let a = simulate_recovery(&w, &scenario, cfg, &track);
-        let b = simulate_recovery(&world(), &scenario, cfg, &track);
+        let b = simulate_recovery(&w, &scenario, cfg, &track);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn recovery_leaves_the_callers_network_untouched() {
+        let w = world();
+        let scenario = total_outage(&w);
+        // `tracked` resolves on the world's network, so it has carried
+        // traffic before the call.
+        let track = tracked(&w);
+        let root = w.roots[0];
+        let q = Message::query(1, DomainName::root(), RecordType::Ns);
+        assert!(w.network.deliver(root, &q).reply().is_some());
+        w.network.install_faults(Some(FaultPlan::new(0).with_blackholed_addrs([root])));
+        let accounting =
+            || (w.network.stats(), w.network.fault_stats(), w.network.per_destination_snapshot());
+        let before = accounting();
+
+        let cfg = RecoveryConfig { window_s: 7200, step_s: 300 };
+        let first = simulate_recovery(&w, &scenario, cfg, &track);
+        assert_eq!(accounting(), before);
+        assert!(w.network.deliver(root, &q).reply().is_none(), "the caller's plan is kept");
+        assert!(first.domains.iter().all(|d| d.dark_at_s.is_some()), "{first:?}");
+        assert_eq!(simulate_recovery(&w, &scenario, cfg, &track), first);
     }
 }

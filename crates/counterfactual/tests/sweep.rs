@@ -1,6 +1,7 @@
 //! Integration tests for the counterfactual sweep: exact darkening
-//! semantics for provider outages, journaled resume, and worker-count
-//! invariance of the canonical report.
+//! semantics for provider outages, fork-vs-regeneration equivalence,
+//! journaled resume, and worker-count invariance of the canonical
+//! report.
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -9,7 +10,8 @@ use govdns_core::{
     run_campaign, BreakerPolicy, Campaign, MeasurementDataset, RetryPolicy, RunnerConfig,
 };
 use govdns_counterfactual::{
-    enumerate_scenarios, is_dark, run_sweep, EnumerationConfig, Scenario, ScenarioKind, SweepConfig,
+    enumerate_scenarios, is_dark, run_sweep, EnumerationConfig, PartialDial, Scenario,
+    ScenarioKind, SweepConfig,
 };
 use govdns_diff::DatasetView;
 use govdns_world::{World, WorldConfig, WorldGenerator};
@@ -94,6 +96,42 @@ fn provider_outage_darkens_exactly_the_single_provider_domains() {
         }
     }
     assert!(checked_survivor, "some multi-provider domain partially overlaps the blast");
+}
+
+/// A scenario campaign on a fork of an already-probed world's network
+/// sees exactly what it would see on a freshly generated world: the
+/// property that lets the sweep generate its world once.
+#[test]
+fn scenario_campaigns_on_a_fork_match_a_fresh_world() {
+    let world = tiny_world();
+    let matchers = world.catalog.matchers();
+    let base = run_campaign(&Campaign::new(&world, &matchers), invariant_config(None));
+    // One scenario of each kind keeps the fresh generations affordable.
+    let enumeration = EnumerationConfig { max_per_kind: 1, ..EnumerationConfig::default() };
+    let scenarios = enumerate_scenarios(&base, &matchers, &world.asn_db, enumeration);
+    let kinds: BTreeSet<ScenarioKind> = scenarios.iter().map(|s| s.kind).collect();
+    assert_eq!(kinds.len(), 4, "every scenario kind is enumerated: {kinds:?}");
+    let half = PartialDial { k: 1, n: 2 };
+    for scenario in &scenarios {
+        for scenario in [scenario.clone(), scenario.dialed(half), scenario.degraded(950_000)] {
+            let network = world.network.fork();
+            let campaign = Campaign { network: &network, ..Campaign::new(&world, &matchers) };
+            let forked = run_campaign(&campaign, invariant_config(Some(&scenario)));
+
+            let fresh_world = tiny_world();
+            let fresh_matchers = fresh_world.catalog.matchers();
+            let fresh = run_campaign(
+                &Campaign::new(&fresh_world, &fresh_matchers),
+                invariant_config(Some(&scenario)),
+            );
+            assert_eq!(
+                DatasetView::from_dataset(&forked),
+                DatasetView::from_dataset(&fresh),
+                "{}",
+                scenario.id()
+            );
+        }
+    }
 }
 
 /// A journaled sweep resumed from its own journals reports the exact

@@ -300,7 +300,7 @@ impl ShardedCounts {
 /// mutex or shared RNG is touched between deliveries.
 #[derive(Debug)]
 pub struct SimNetwork {
-    servers: HashMap<Ipv4Addr, AuthoritativeServer>,
+    servers: Arc<HashMap<Ipv4Addr, AuthoritativeServer>>,
     latency: LatencyModel,
     loss_rate: f64,
     /// Seed for the deterministic loss hash (see `loss_hits`).
@@ -316,7 +316,7 @@ impl SimNetwork {
     /// Creates an empty network with no loss and wide-area latency.
     pub fn new(seed: u64) -> Self {
         SimNetwork {
-            servers: HashMap::new(),
+            servers: Arc::default(),
             latency: LatencyModel::default(),
             loss_rate: 0.0,
             seed,
@@ -325,6 +325,24 @@ impl SimNetwork {
             telemetry: RwLock::new(None),
             faults: RwLock::new(None),
             fault_stats: AtomicFaults::default(),
+        }
+    }
+
+    /// A network with the same servers, latency, loss rate and seed, and
+    /// none of this one's history: no traffic or fault stats, no
+    /// per-destination ordinals, no telemetry and no fault plan — what
+    /// building the same network afresh produces. The servers are
+    /// shared, not copied (copy-on-write under [`add_server`]), so
+    /// forking is cheap; traffic and fault plans on the fork never
+    /// reach this network, nor the reverse.
+    ///
+    /// [`add_server`]: SimNetwork::add_server
+    pub fn fork(&self) -> SimNetwork {
+        SimNetwork {
+            servers: Arc::clone(&self.servers),
+            latency: self.latency,
+            loss_rate: self.loss_rate,
+            ..SimNetwork::new(self.seed)
         }
     }
 
@@ -402,7 +420,7 @@ impl SimNetwork {
     /// generated, so a collision is a construction bug.
     pub fn add_server(&mut self, server: AuthoritativeServer) {
         let addr = server.addr();
-        let prev = self.servers.insert(addr, server);
+        let prev = Arc::make_mut(&mut self.servers).insert(addr, server);
         assert!(prev.is_none(), "duplicate server at {addr}");
     }
 
@@ -924,6 +942,91 @@ mod tests {
         assert_eq!(other.stats(), stats);
         assert_eq!(other.per_destination_snapshot(), per_dst);
         assert_eq!(other.busiest_destinations(1), vec![(a, 3)]);
+    }
+
+    fn accounting(net: &SimNetwork) -> (TrafficStats, FaultStats, Vec<(Ipv4Addr, u64)>) {
+        (net.stats(), net.fault_stats(), net.per_destination_snapshot())
+    }
+
+    #[test]
+    fn fork_delivers_like_a_never_used_network() {
+        let a = Ipv4Addr::new(192, 0, 2, 1);
+        let unrouted = Ipv4Addr::new(203, 0, 113, 200);
+        let q = Message::query(1, n("gov.zz"), RecordType::Ns);
+        let burst = |after_queries| {
+            FaultPlan::new(3).with_rule(
+                FaultScope::All,
+                FaultProfile::RefusedBurst { after_queries, rate: 1.0, recover_after: 99 },
+            )
+        };
+        // Six queries to `a` with no plan, then six under a limiter that
+        // engages at the ninth: an inherited plan would refuse in the
+        // first half, inherited ordinals all through the second.
+        let sequence = |net: &SimNetwork| {
+            let mut out = net.deliver_batch(
+                &q,
+                &[(unrouted, 0), (a, 0), (a, 1), (a, 2), (a, 3), (a, 4), (a, 5)],
+            );
+            net.install_faults(Some(burst(8)));
+            out.extend(net.deliver_batch(&q, &[(a, 0); 6]));
+            out
+        };
+
+        let parent = network_with_one_zone().with_faults(burst(2));
+        let registry = Registry::new();
+        parent.attach_telemetry(&registry);
+        for attempt in 0..10 {
+            parent.deliver_attempt(a, &q, attempt);
+        }
+        assert!(parent.fault_stats().refused > 0, "the parent's limiter engaged");
+        let parent_queries = registry.snapshot().counters["net.queries"];
+
+        let fork = parent.fork();
+        assert_eq!(accounting(&fork), (TrafficStats::default(), FaultStats::default(), vec![]));
+        let forked = sequence(&fork);
+        let fresh = sequence(&network_with_one_zone());
+        assert_eq!(forked, fresh);
+        let refused: Vec<bool> = forked.iter().map(|(_, t)| t.fault.refuse).collect();
+        assert_eq!(refused, [vec![false; 9], vec![true; 4]].concat());
+        assert_eq!(
+            registry.snapshot().counters["net.queries"],
+            parent_queries,
+            "the fork carries no telemetry"
+        );
+    }
+
+    #[test]
+    fn fork_and_parent_share_no_traffic_or_plans() {
+        let a = Ipv4Addr::new(192, 0, 2, 1);
+        let q = Message::query(1, n("gov.zz"), RecordType::Ns);
+        let parent = network_with_one_zone();
+        parent.deliver(a, &q);
+        let fork = parent.fork();
+
+        let before = accounting(&parent);
+        fork.install_faults(Some(FaultPlan::new(1).with_blackholed_addrs([a])));
+        for _ in 0..3 {
+            assert!(fork.deliver(a, &q).reply().is_none());
+        }
+        assert_eq!(accounting(&parent), before);
+        assert!(parent.deliver(a, &q).reply().is_some(), "the fork's plan stays on the fork");
+
+        let before = accounting(&fork);
+        parent.install_faults(Some(
+            FaultPlan::new(1).with_rule(FaultScope::All, FaultProfile::PacketLoss { rate: 1.0 }),
+        ));
+        for _ in 0..3 {
+            assert!(parent.deliver(a, &q).reply().is_none());
+        }
+        assert_eq!(accounting(&fork), before);
+        fork.install_faults(None);
+        assert!(fork.deliver(a, &q).reply().is_some(), "the parent's plan stays on the parent");
+
+        let mut fork = fork;
+        let b = Ipv4Addr::new(192, 0, 2, 2);
+        fork.add_server(AuthoritativeServer::new(b, ServerBehavior::Unresponsive));
+        assert_eq!((fork.server_count(), parent.server_count()), (2, 1));
+        assert!(parent.server(b).is_none(), "servers added to a fork stay on the fork");
     }
 
     #[test]
