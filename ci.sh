@@ -8,7 +8,8 @@
 # byte-identical across runs and worker counts, and matching the
 # checked-in corpus artifact), the smell smoke (trace-cited operational
 # smell verdicts byte-stable across runs and worker counts, every
-# detector firing, and matching the checked-in corpus artifact), and
+# detector firing, and matching the checked-in corpus artifact), the
+# audit smoke (the paper's CSVs match perfbench/pins/audit.txt), and
 # the bench guards (telemetry, campaign scaling, flight-recorder
 # overhead).
 # Mirrored by .github/workflows/ci.yml.
@@ -37,8 +38,8 @@ echo "== chaos smoke: identical seeds => identical output =="
 chaos_a="$(mktemp)"
 chaos_b="$(mktemp)"
 trap 'rm -f "$chaos_a" "$chaos_b"' EXIT
-cargo run -q --release --example chaos -- --seed 7 > "$chaos_a"
-cargo run -q --release --example chaos -- --seed 7 > "$chaos_b"
+cargo run -q --release -- chaos --seed 7 > "$chaos_a"
+cargo run -q --release -- chaos --seed 7 > "$chaos_b"
 diff -u "$chaos_a" "$chaos_b"
 grep -q "dataset fingerprint" "$chaos_a"
 
@@ -46,8 +47,8 @@ echo "== breaker smoke: quarantine under hostile chaos is deterministic =="
 breaker_a="$(mktemp)"
 breaker_b="$(mktemp)"
 trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"' EXIT
-cargo run -q --release --example chaos -- --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_a"
-cargo run -q --release --example chaos -- --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_b"
+cargo run -q --release -- chaos --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_a"
+cargo run -q --release -- chaos --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_b"
 diff -u "$breaker_a" "$breaker_b"
 grep -q "circuit breakers" "$breaker_a"
 
@@ -55,13 +56,13 @@ echo "== resume smoke: crash at half-campaign, resume, identical fingerprint =="
 resume_dir="$(mktemp -d)"
 trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir"' EXIT
 # Full uninterrupted run: the reference fingerprint.
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
+cargo run -q --release -- resume --seed 7 --scale 0.01 \
     --journal "$resume_dir/full.journal" > "$resume_dir/full.out"
 # Crash hard (exit 9) mid-campaign; the journal survives.
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
+cargo run -q --release -- resume --seed 7 --scale 0.01 \
     --journal "$resume_dir/crash.journal" --crash-after 200 > "$resume_dir/crash.out" || true
 # Resume from the journal and finish.
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
+cargo run -q --release -- resume --seed 7 --scale 0.01 \
     --journal "$resume_dir/crash.journal" --resume > "$resume_dir/resumed.out"
 full_fp="$(grep 'dataset fingerprint' "$resume_dir/full.out")"
 resumed_fp="$(grep 'dataset fingerprint' "$resume_dir/resumed.out")"
@@ -80,7 +81,7 @@ echo "== sink smoke: channel-fed journal sink is byte-stable run to run =="
 # records carry side-query tallies that follow per-worker resolver
 # cache warmth — so the journal gate is run-to-run at a fixed count,
 # and the diff smoke below gates the dataset view across counts.)
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
+cargo run -q --release -- resume --seed 7 --scale 0.01 \
     --journal "$resume_dir/full2.journal" > /dev/null
 cmp "$resume_dir/full.journal" "$resume_dir/full2.journal" || {
     echo "sink smoke: identical runs produced different journal bytes" >&2
@@ -90,9 +91,9 @@ cmp "$resume_dir/full.journal" "$resume_dir/full2.journal" || {
 echo "== trace smoke: identical seeds => byte-identical traces at any worker count =="
 trace_dir="$(mktemp -d)"
 trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir"' EXIT
-cargo run -q --release --example trace -- --seed 7 --workers 1 --scale 0.01 \
+cargo run -q --release -- trace --seed 7 --workers 1 --scale 0.01 \
     --out "$trace_dir/w1.trace" > "$trace_dir/w1.out"
-cargo run -q --release --example trace -- --seed 7 --workers 8 --scale 0.01 \
+cargo run -q --release -- trace --seed 7 --workers 8 --scale 0.01 \
     --out "$trace_dir/w8.trace" > "$trace_dir/w8.out"
 cmp "$trace_dir/w1.trace" "$trace_dir/w8.trace" || {
     echo "trace smoke: trace files differ between 1 and 8 workers" >&2
@@ -110,32 +111,32 @@ python3 corpus/persist/check_pins.py trace "$trace_dir/w1.trace" journal "$resum
 echo "== diff smoke: self-diff empty, cross-seed diff deterministic, corpus replays =="
 diff_dir="$(mktemp -d)"
 trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir" "$diff_dir"' EXIT
-cargo run -q --release --example diff -- run --seed 7 --workers 1 --scale 0.01 --out "$diff_dir/a"
-cargo run -q --release --example diff -- run --seed 7 --workers 8 --scale 0.01 --out "$diff_dir/a8"
-cargo run -q --release --example diff -- run --seed 8 --workers 4 --scale 0.01 --out "$diff_dir/b"
+cargo run -q --release -- diff run --seed 7 --workers 1 --scale 0.01 --out "$diff_dir/a"
+cargo run -q --release -- diff run --seed 7 --workers 8 --scale 0.01 --out "$diff_dir/a8"
+cargo run -q --release -- diff run --seed 8 --workers 4 --scale 0.01 --out "$diff_dir/b"
 # Same seed at different worker counts: the gate must pass with zero differences.
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/a8" --gate > "$diff_dir/self.out"
+cargo run -q --release -- diff diff "$diff_dir/a" "$diff_dir/a8" --gate > "$diff_dir/self.out"
 grep -q "runs are identical" "$diff_dir/self.out"
 # Different seeds: nonzero divergence with a first-divergence timeline,
 # deterministic (the same comparison twice is byte-identical), and the
 # gate exits nonzero.
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x1.out"
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x2.out"
+cargo run -q --release -- diff diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x1.out"
+cargo run -q --release -- diff diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x2.out"
 cmp "$diff_dir/x1.out" "$diff_dir/x2.out"
 grep -q "first divergence in" "$diff_dir/x1.out"
 grep -q "total differences:" "$diff_dir/x1.out"
-! cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" --gate > /dev/null
+! cargo run -q --release -- diff diff "$diff_dir/a" "$diff_dir/b" --gate > /dev/null
 # The JSON diff is worker-count invariant: seed 7 vs seed 8 reads the
 # same whichever worker count produced the seed-7 archive.
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" --json > "$diff_dir/j1.json"
-cargo run -q --release --example diff -- diff "$diff_dir/a8" "$diff_dir/b" --json > "$diff_dir/j2.json"
+cargo run -q --release -- diff diff "$diff_dir/a" "$diff_dir/b" --json > "$diff_dir/j1.json"
+cargo run -q --release -- diff diff "$diff_dir/a8" "$diff_dir/b" --json > "$diff_dir/j2.json"
 cmp "$diff_dir/j1.json" "$diff_dir/j2.json"
 # A forced analysis failure captures a corpus case that replays
 # byte-identically against a fresh simnet.
-GOVDNS_FAIL_ANALYSIS=providers cargo run -q --release --example diff -- run --seed 7 --scale 0.004 \
+GOVDNS_FAIL_ANALYSIS=providers cargo run -q --release -- diff run --seed 7 --scale 0.004 \
     --out "$diff_dir/fail" --corpus-dir "$diff_dir/corpus" --case smoke > "$diff_dir/fail.out" 2>/dev/null
 grep -q "corpus case captured" "$diff_dir/fail.out"
-cargo run -q --release --example diff -- replay "$diff_dir/corpus/smoke.json" > "$diff_dir/replay.out"
+cargo run -q --release -- diff replay "$diff_dir/corpus/smoke.json" > "$diff_dir/replay.out"
 grep -q "byte-identical" "$diff_dir/replay.out"
 # The checked-in regression corpus still replays byte-identically —
 # every case, and loudly empty-checked so a bad glob can never turn
@@ -148,7 +149,7 @@ shopt -u nullglob
     exit 1
 }
 echo "replaying ${#corpus_cases[@]} corpus case(s)"
-cargo run -q --release --example diff -- replay "${corpus_cases[@]}"
+cargo run -q --release -- diff replay "${corpus_cases[@]}"
 
 echo "== counterfactual smoke: seeded SPOF sweep is byte-stable =="
 cf_dir="$(mktemp -d)"
@@ -157,11 +158,11 @@ cf_args=(--seed 7 --scale 0.002 --max-per-kind 3)
 # Same seed twice at 8 workers, once at 1 worker: the canonical JSON
 # must be byte-identical across all three, and stdout must carry the
 # ranked table.
-cargo run -q --release --example counterfactual -- rank "${cf_args[@]}" --workers 8 \
+cargo run -q --release -- counterfactual rank "${cf_args[@]}" --workers 8 \
     --out "$cf_dir/a.json" > "$cf_dir/a.out"
-cargo run -q --release --example counterfactual -- rank "${cf_args[@]}" --workers 8 \
+cargo run -q --release -- counterfactual rank "${cf_args[@]}" --workers 8 \
     --out "$cf_dir/b.json" > "$cf_dir/b.out"
-cargo run -q --release --example counterfactual -- rank "${cf_args[@]}" --workers 1 \
+cargo run -q --release -- counterfactual rank "${cf_args[@]}" --workers 1 \
     --out "$cf_dir/w1.json" > "$cf_dir/w1.out"
 cmp "$cf_dir/a.json" "$cf_dir/b.json" || {
     echo "counterfactual smoke: identical seeds produced different SPOF JSON" >&2
@@ -177,7 +178,7 @@ grep -q "single points of failure" "$cf_dir/a.out"
 cmp corpus/spof/rank-seed7.json "$cf_dir/a.json" || {
     echo "counterfactual smoke: sweep no longer matches corpus/spof/rank-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example counterfactual -- rank ${cf_args[*]} --workers 8 --out corpus/spof/rank-seed7.json)" >&2
+    echo "  cargo run --release -- counterfactual rank ${cf_args[*]} --workers 8 --out corpus/spof/rank-seed7.json)" >&2
     exit 1
 }
 
@@ -187,9 +188,9 @@ echo "== degraded-mode smoke: compound+partial+recovery sweep is byte-stable =="
 # byte-for-byte, and the checked-in artifact pins the exact bytes.
 rec_args=(--seed 7 --scale 0.002 --max-per-kind 2 --combo --partial 1/2
     --recovery-window 7200 --recovery-step 600)
-cargo run -q --release --example counterfactual -- rank "${rec_args[@]}" --workers 8 \
+cargo run -q --release -- counterfactual rank "${rec_args[@]}" --workers 8 \
     --out "$cf_dir/r8.json" > "$cf_dir/r8.out"
-cargo run -q --release --example counterfactual -- rank "${rec_args[@]}" --workers 1 \
+cargo run -q --release -- counterfactual rank "${rec_args[@]}" --workers 1 \
     --out "$cf_dir/r1.json" > "$cf_dir/r1.out"
 cmp "$cf_dir/r8.json" "$cf_dir/r1.json" || {
     echo "degraded-mode smoke: recovery JSON differs between 1 and 8 workers" >&2
@@ -200,15 +201,15 @@ grep -q "recovery timelines" "$cf_dir/r8.out"
 cmp corpus/spof/recovery-seed7.json "$cf_dir/r8.json" || {
     echo "degraded-mode smoke: sweep no longer matches corpus/spof/recovery-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example counterfactual -- rank ${rec_args[*]} --workers 8 --out corpus/spof/recovery-seed7.json)" >&2
+    echo "  cargo run --release -- counterfactual rank ${rec_args[*]} --workers 8 --out corpus/spof/recovery-seed7.json)" >&2
     exit 1
 }
 # Degrade mode (every blast set converted to a 95% probabilistic drop)
 # has its own pin: the same w8 vs w1 and artifact byte-gates.
 deg_args=(--seed 7 --scale 0.002 --max-per-kind 2 --degrade 950000)
-cargo run -q --release --example counterfactual -- rank "${deg_args[@]}" --workers 8 \
+cargo run -q --release -- counterfactual rank "${deg_args[@]}" --workers 8 \
     --out "$cf_dir/d8.json" > "$cf_dir/d8.out"
-cargo run -q --release --example counterfactual -- rank "${deg_args[@]}" --workers 1 \
+cargo run -q --release -- counterfactual rank "${deg_args[@]}" --workers 1 \
     --out "$cf_dir/d1.json" > "$cf_dir/d1.out"
 cmp "$cf_dir/d8.json" "$cf_dir/d1.json" || {
     echo "degraded-mode smoke: degrade JSON differs between 1 and 8 workers" >&2
@@ -218,12 +219,12 @@ diff -u "$cf_dir/d8.out" "$cf_dir/d1.out"
 cmp corpus/spof/degrade-seed7.json "$cf_dir/d8.json" || {
     echo "degraded-mode smoke: sweep no longer matches corpus/spof/degrade-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example counterfactual -- rank ${deg_args[*]} --workers 8 --out corpus/spof/degrade-seed7.json)" >&2
+    echo "  cargo run --release -- counterfactual rank ${deg_args[*]} --workers 8 --out corpus/spof/degrade-seed7.json)" >&2
     exit 1
 }
 # A sweep that enumerates nothing must fail loudly — an empty ranked
 # report upstream of the byte-gates above would pass them vacuously.
-if cargo run -q --release --example counterfactual -- rank --seed 7 --scale 0.002 \
+if cargo run -q --release -- counterfactual rank --seed 7 --scale 0.002 \
     --scenario no-such-scenario-xyzzy > /dev/null 2>&1; then
     echo "degraded-mode smoke: empty scenario enumeration exited zero" >&2
     exit 1
@@ -235,11 +236,11 @@ trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir
 smell_args=(--seed 7 --scale 0.002)
 # Same seed twice at 8 workers, once at 1 worker: canonical JSON and
 # stdout must be byte-identical across all three.
-cargo run -q --release --example smell -- run "${smell_args[@]}" --workers 8 \
+cargo run -q --release -- smell run "${smell_args[@]}" --workers 8 \
     --out "$smell_dir/a.json" > "$smell_dir/a.out"
-cargo run -q --release --example smell -- run "${smell_args[@]}" --workers 8 \
+cargo run -q --release -- smell run "${smell_args[@]}" --workers 8 \
     --out "$smell_dir/b.json" > "$smell_dir/b.out"
-cargo run -q --release --example smell -- run "${smell_args[@]}" --workers 1 \
+cargo run -q --release -- smell run "${smell_args[@]}" --workers 1 \
     --out "$smell_dir/w1.json" > "$smell_dir/w1.out"
 cmp "$smell_dir/a.json" "$smell_dir/b.json" || {
     echo "smell smoke: identical seeds produced different smell JSON" >&2
@@ -262,27 +263,55 @@ done
 cmp corpus/smell/smells-seed7.json "$smell_dir/a.json" || {
     echo "smell smoke: run no longer matches corpus/smell/smells-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example smell -- run ${smell_args[*]} --workers 8 --out corpus/smell/smells-seed7.json)" >&2
+    echo "  cargo run --release -- smell run ${smell_args[*]} --workers 8 --out corpus/smell/smells-seed7.json)" >&2
     exit 1
 }
 # Inspect mode round-trips the archived report byte-for-byte.
-cargo run -q --release --example smell -- inspect corpus/smell/smells-seed7.json --json \
+cargo run -q --release -- smell inspect corpus/smell/smells-seed7.json --json \
     > "$smell_dir/roundtrip.json"
 cmp <(cat corpus/smell/smells-seed7.json; echo) "$smell_dir/roundtrip.json" || {
     echo "smell smoke: inspect --json did not round-trip the corpus artifact" >&2
     exit 1
 }
 # A typo'd --explain domain must exit nonzero, not report a clean run.
-if cargo run -q --release --example smell -- inspect corpus/smell/smells-seed7.json \
+if cargo run -q --release -- smell inspect corpus/smell/smells-seed7.json \
     --explain no.such.domain > /dev/null 2>&1; then
     echo "smell smoke: --explain on an unknown domain exited zero" >&2
     exit 1
 fi
-if cargo run -q --release --example trace -- --seed 7 --scale 0.002 \
+if cargo run -q --release -- trace --seed 7 --scale 0.002 \
     --explain no.such.domain > /dev/null 2>&1; then
     echo "smell smoke: trace --explain on an unknown domain exited zero" >&2
     exit 1
 fi
+
+echo "== audit smoke: the paper's CSVs match perfbench/pins/audit.txt =="
+audit_dir="$(mktemp -d)"
+trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir" "$diff_dir" "$cf_dir" "$smell_dir" "$audit_dir"' EXIT
+cargo run -q --release -- audit --seed 20220627 --scale 0.10 --csv "$audit_dir/csv" \
+    > "$audit_dir/audit.out"
+python3 - "$audit_dir/csv" <<'PY' || { echo "audit smoke: CSVs differ from their pins" >&2; exit 1; }
+import pathlib, sys
+
+def fnv64(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+rows = [l.split() for l in open("perfbench/pins/audit.txt") if l.strip() and not l.startswith("#")]
+pins = [(name, fp) for seed, scale, name, fp in rows if seed == "20220627" and float(scale) == 0.1]
+assert pins, "perfbench/pins/audit.txt has no seed-20220627, scale-0.1 pins"
+bad = 0
+for name, fp in pins:
+    path = pathlib.Path(sys.argv[1]) / name
+    got = f"{fnv64(path.read_bytes()):016x}" if path.exists() else "missing"
+    if got != fp:
+        print(f"audit smoke: {name}: pinned {fp}, got {got}", file=sys.stderr)
+        bad += 1
+print(f"audit smoke: {len(pins) - bad} of {len(pins)} pinned CSVs match")
+sys.exit(1 if bad else 0)
+PY
 
 echo "== bench guard: telemetry hot path =="
 # The vendored criterion stand-in prints one "ns/iter" line per bench;

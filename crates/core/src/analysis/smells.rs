@@ -77,10 +77,17 @@ impl SmellKind {
             SmellKind::LameDelegation => "lame_delegation",
         }
     }
+}
+
+impl std::str::FromStr for SmellKind {
+    type Err = String;
 
     /// Parses a wire label back into a kind.
-    pub fn parse(s: &str) -> Option<SmellKind> {
-        SmellKind::all().into_iter().find(|k| k.as_str() == s)
+    fn from_str(s: &str) -> Result<Self, String> {
+        SmellKind::all().into_iter().find(|k| k.as_str() == s).ok_or_else(|| {
+            let labels: Vec<&str> = SmellKind::all().iter().map(|k| k.as_str()).collect();
+            format!("unknown smell kind {s:?} ({})", labels.join(", "))
+        })
     }
 }
 
@@ -818,8 +825,8 @@ mod tests {
     #[test]
     fn kind_labels_round_trip() {
         for kind in SmellKind::all() {
-            assert_eq!(SmellKind::parse(kind.as_str()), Some(kind));
+            assert_eq!(kind.as_str().parse::<SmellKind>(), Ok(kind));
         }
-        assert_eq!(SmellKind::parse("warp"), None);
+        assert!("warp".parse::<SmellKind>().is_err());
     }
 }

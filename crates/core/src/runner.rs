@@ -161,6 +161,30 @@ impl Default for RunnerConfig {
 }
 
 impl RunnerConfig {
+    /// The worker-count-invariant configuration: `workers` probe
+    /// workers, adaptive retries with no per-destination budget, and no
+    /// circuit breakers.
+    ///
+    /// Workers claim domains in whatever order the scheduler hands them
+    /// out, so any state that several probes share changes with the
+    /// interleaving. A per-destination retry budget is such state (which
+    /// probe gets the last retry depends on who reached the destination
+    /// first), and so is a breaker (it trips on the interleaved sequence
+    /// of failures). With both off, every exchange's outcome depends only
+    /// on its own seeded fault decisions, and the trace file and the
+    /// canonical dataset are byte-identical at any worker count. Chaos
+    /// stays the caller's choice: pair this with no chaos or with a
+    /// profile free of REFUSED bursts (`flaky`), whose per-destination
+    /// ordinals are interleaving-sensitive too.
+    pub fn worker_invariant(workers: usize) -> Self {
+        RunnerConfig {
+            workers,
+            retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
+            breaker: BreakerPolicy::none(),
+            ..RunnerConfig::default()
+        }
+    }
+
     /// A deterministic echo of every knob that shapes observations,
     /// stored in the journal header and byte-compared on resume.
     /// Worker count, journaling, tracing, and `stop_after` are

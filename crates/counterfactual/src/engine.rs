@@ -29,10 +29,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use govdns_core::{
-    run_campaign, BreakerPolicy, Campaign, JournalSpec, MeasurementDataset, RetryPolicy,
-    RunnerConfig,
-};
+use govdns_core::{run_campaign, Campaign, JournalSpec, MeasurementDataset, RunnerConfig};
 use govdns_diff::DatasetView;
 use govdns_world::{WorldConfig, WorldGenerator};
 
@@ -100,14 +97,10 @@ impl SweepConfig {
         let resume_from =
             journal.as_ref().map(|spec| spec.path.clone()).filter(|path| path.exists());
         RunnerConfig {
-            workers: 1,
-            retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
-            chaos: None,
             scenario: scenario.map(Scenario::spec),
-            breaker: BreakerPolicy::none(),
             journal,
             resume_from,
-            ..RunnerConfig::default()
+            ..RunnerConfig::worker_invariant(1)
         }
     }
 }

@@ -102,13 +102,17 @@ pub struct PartialDial {
     pub n: u32,
 }
 
-impl PartialDial {
+impl std::str::FromStr for PartialDial {
+    type Err = String;
+
     /// Parses `"k/n"` (e.g. `"1/3"`). `n` must be at least 1 and `k`
     /// at most `n`.
-    pub fn parse(s: &str) -> Option<Self> {
-        let (k, n) = s.split_once('/')?;
-        let (k, n) = (k.trim().parse().ok()?, n.trim().parse().ok()?);
-        (n >= 1 && k <= n).then_some(PartialDial { k, n })
+    fn from_str(s: &str) -> Result<Self, String> {
+        let dial = s.split_once('/').and_then(|(k, n)| {
+            let (k, n) = (k.trim().parse().ok()?, n.trim().parse().ok()?);
+            (n >= 1 && k <= n).then_some(PartialDial { k, n })
+        });
+        dial.ok_or_else(|| format!("partial dial wants K/N with K <= N and N >= 1, got {s:?}"))
     }
 }
 
@@ -532,12 +536,12 @@ mod tests {
 
     #[test]
     fn partial_dial_parses_and_rejects() {
-        assert_eq!(PartialDial::parse("1/3"), Some(PartialDial { k: 1, n: 3 }));
-        assert_eq!(PartialDial::parse("3/3"), Some(PartialDial { k: 3, n: 3 }));
-        assert_eq!(PartialDial::parse("0/4"), Some(PartialDial { k: 0, n: 4 }));
-        assert_eq!(PartialDial::parse("4/3"), None, "k must not exceed n");
-        assert_eq!(PartialDial::parse("1/0"), None);
-        assert_eq!(PartialDial::parse("13"), None);
+        assert_eq!("1/3".parse(), Ok(PartialDial { k: 1, n: 3 }));
+        assert_eq!("3/3".parse(), Ok(PartialDial { k: 3, n: 3 }));
+        assert_eq!("0/4".parse(), Ok(PartialDial { k: 0, n: 4 }));
+        assert!("4/3".parse::<PartialDial>().is_err(), "k must not exceed n");
+        assert!("1/0".parse::<PartialDial>().is_err());
+        assert!("13".parse::<PartialDial>().is_err());
     }
 
     #[test]

@@ -6,9 +6,7 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use govdns_core::{
-    run_campaign, BreakerPolicy, Campaign, MeasurementDataset, RetryPolicy, RunnerConfig,
-};
+use govdns_core::{run_campaign, Campaign, MeasurementDataset, RunnerConfig};
 use govdns_counterfactual::{
     enumerate_scenarios, is_dark, run_sweep, EnumerationConfig, PartialDial, Scenario,
     ScenarioKind, SweepConfig,
@@ -26,14 +24,7 @@ fn tiny_world() -> World {
 /// The engine's worker-count-invariant inner configuration, rebuilt
 /// through the public API.
 fn invariant_config(scenario: Option<&Scenario>) -> RunnerConfig {
-    RunnerConfig {
-        workers: 1,
-        retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
-        chaos: None,
-        scenario: scenario.map(Scenario::spec),
-        breaker: BreakerPolicy::none(),
-        ..RunnerConfig::default()
-    }
+    RunnerConfig { scenario: scenario.map(Scenario::spec), ..RunnerConfig::worker_invariant(1) }
 }
 
 fn baseline(world: &World) -> MeasurementDataset {

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use std::sync::OnceLock;
 
 use govdns_core::report::{failpoint, Report};
-use govdns_core::{BreakerPolicy, CampaignTelemetry, ChaosSpec, RetryPolicy, RunnerConfig};
+use govdns_core::{CampaignTelemetry, ChaosSpec, RunnerConfig};
 use govdns_diff::{CorpusCase, DatasetView, ReplaySetup, RunDiff, TraceDiff};
 use govdns_simnet::ChaosProfile;
 use govdns_trace::{read_trace, TraceLog, TraceSpec, DEFAULT_FLIGHT_CAPACITY};
@@ -32,15 +32,12 @@ struct RunArtifacts {
 }
 
 /// The replay-safe configuration the diff CLI's `run` mode uses: flaky
-/// chaos, no breakers, unlimited retry budget (see `examples/diff.rs`).
+/// chaos over [`RunnerConfig::worker_invariant`] (see `govdns diff run`).
 fn replay_safe_config(seed: u64, workers: usize, trace: &std::path::Path) -> RunnerConfig {
     RunnerConfig {
-        workers,
-        retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
         chaos: Some(ChaosSpec { profile: ChaosProfile::Flaky, seed }),
-        breaker: BreakerPolicy::none(),
         trace: Some(TraceSpec::new(trace).with_seed(seed)),
-        ..RunnerConfig::default()
+        ..RunnerConfig::worker_invariant(workers)
     }
 }
 
@@ -132,6 +129,7 @@ fn corpus_replay_round_trips_end_to_end() {
     let trace_path =
         std::env::temp_dir().join(format!("diff-props-corpus-{}.trace", std::process::id()));
     let config = replay_safe_config(seed, 4, &trace_path);
+    let (max_qps, retry) = (config.max_qps, config.retry);
     let ctl = CampaignTelemetry::new();
 
     failpoint::arm("providers");
@@ -145,8 +143,8 @@ fn corpus_replay_round_trips_end_to_end() {
         world_seed: seed,
         scale_ppm: SCALE_PPM,
         chaos: Some((ChaosProfile::Flaky, seed)),
-        max_qps: RunnerConfig::default().max_qps,
-        retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
+        max_qps,
+        retry,
         second_round: true,
         flight_capacity: DEFAULT_FLIGHT_CAPACITY,
     };

@@ -545,14 +545,18 @@ impl ChaosProfile {
                 ),
         }
     }
+}
 
-    /// Parses a profile name (`flaky` / `congested` / `hostile`).
-    pub fn parse(s: &str) -> Option<Self> {
+impl std::str::FromStr for ChaosProfile {
+    type Err = String;
+
+    /// Parses a profile name (`flaky` / `congested` / `hostile`, any case).
+    fn from_str(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
-            "flaky" => Some(ChaosProfile::Flaky),
-            "congested" => Some(ChaosProfile::Congested),
-            "hostile" => Some(ChaosProfile::Hostile),
-            _ => None,
+            "flaky" => Ok(ChaosProfile::Flaky),
+            "congested" => Ok(ChaosProfile::Congested),
+            "hostile" => Ok(ChaosProfile::Hostile),
+            _ => Err(format!("unknown chaos profile {s:?} (flaky, congested or hostile)")),
         }
     }
 }
@@ -816,9 +820,9 @@ mod tests {
     #[test]
     fn profile_names_roundtrip() {
         for p in [ChaosProfile::Flaky, ChaosProfile::Congested, ChaosProfile::Hostile] {
-            assert_eq!(ChaosProfile::parse(&p.to_string()), Some(p));
+            assert_eq!(p.to_string().parse::<ChaosProfile>(), Ok(p));
             assert!(!p.plan(1).is_empty());
         }
-        assert_eq!(ChaosProfile::parse("calm"), None);
+        assert!("calm".parse::<ChaosProfile>().is_err());
     }
 }

@@ -15,9 +15,9 @@
 //!   by `(domain, seq)`; `govdns_trace::TraceLog::resolve` checks each
 //!   citation against the trace file;
 //! * **filters and explain** — per-kind filtering and per-domain
-//!   drill-downs for the `examples/smell.rs` CLI;
+//!   drill-downs for the `govdns smell` CLI;
 //! * **round-tripping** — [`SmellReport::from_canonical_json`] parses a
-//!   written report back, exactly, for `inspect` mode and for the
+//!   written report back, exactly, for `govdns smell inspect` and for the
 //!   smell-transition section of `govdns-diff`.
 
 #![forbid(unsafe_code)]
@@ -124,7 +124,7 @@ impl SmellReport {
         let verdict = |v: &Value| -> Result<SmellVerdict, String> {
             let text = |key: &str| v.field(key, Value::as_str);
             Ok(SmellVerdict {
-                kind: v.field("kind", |k| SmellKind::parse(k.as_str()?))?,
+                kind: v.field("kind", |k| k.as_str()?.parse::<SmellKind>().ok())?,
                 domain: v.field("domain", |d| d.as_str()?.parse().ok())?,
                 country: text("country")?.parse()?,
                 severity: v.field("severity", Value::as_int)?,

@@ -683,12 +683,9 @@ mod trace {
     /// races are the only interleaving-sensitive inputs, so all are off.
     fn invariant_config(workers: usize, trace: Option<TraceSpec>) -> RunnerConfig {
         RunnerConfig {
-            workers,
-            retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
             chaos: Some(ChaosSpec { profile: ChaosProfile::Flaky, seed: 7 }),
-            breaker: BreakerPolicy::none(),
             trace,
-            ..RunnerConfig::default()
+            ..RunnerConfig::worker_invariant(workers)
         }
     }
 
@@ -800,7 +797,6 @@ mod trace {
 
 mod smells {
     use super::*;
-    use govdns::core::BreakerPolicy;
     use govdns::smell::SmellReport;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -817,12 +813,9 @@ mod smells {
         let campaign = Campaign::new(&world, &matchers);
         let path = tmp(trace_name);
         let config = RunnerConfig {
-            workers,
-            retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
             chaos: Some(ChaosSpec { profile: ChaosProfile::Flaky, seed: 7 }),
-            breaker: BreakerPolicy::none(),
             trace: Some(TraceSpec::new(&path).with_seed(7)),
-            ..RunnerConfig::default()
+            ..RunnerConfig::worker_invariant(workers)
         };
         let ctl = CampaignTelemetry::new();
         (Report::generate_with(&campaign, config, &ctl), path)
@@ -884,7 +877,7 @@ mod smells {
 
 mod sink_pipeline {
     use super::*;
-    use govdns::core::{BreakerPolicy, JournalReplay, JournalSpec};
+    use govdns::core::{JournalReplay, JournalSpec};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("govdns-e2e-sink-{}", std::process::id()));
@@ -951,17 +944,14 @@ mod sink_pipeline {
             let ds = run(
                 7,
                 RunnerConfig {
-                    workers,
                     stop_after: Some(400),
-                    retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
                     chaos: Some(ChaosSpec { profile: ChaosProfile::Flaky, seed: 7 }),
-                    breaker: BreakerPolicy::none(),
                     journal: Some(JournalSpec {
                         checkpoint_every: 1_000_000,
                         ..JournalSpec::new(journal.clone())
                     }),
                     trace: Some(TraceSpec::new(&trace).with_seed(7)),
-                    ..RunnerConfig::default()
+                    ..RunnerConfig::worker_invariant(workers)
                 },
             );
             let j = std::fs::read(&journal).unwrap();
@@ -1034,7 +1024,6 @@ mod sink_pipeline {
 
 mod counterfactual {
     use super::*;
-    use govdns::core::BreakerPolicy;
     use govdns::counterfactual::{enumerate_scenarios, is_dark, EnumerationConfig, ScenarioKind};
     use govdns::diff::DatasetView;
     use std::collections::BTreeSet;
@@ -1044,15 +1033,7 @@ mod counterfactual {
     }
 
     fn invariant_config(scenario: Option<ScenarioSpec>, trace: Option<TraceSpec>) -> RunnerConfig {
-        RunnerConfig {
-            workers: 1,
-            retry: RetryPolicy { per_destination_budget: None, ..RetryPolicy::adaptive() },
-            chaos: None,
-            scenario,
-            breaker: BreakerPolicy::none(),
-            trace,
-            ..RunnerConfig::default()
-        }
+        RunnerConfig { scenario, trace, ..RunnerConfig::worker_invariant(1) }
     }
 
     /// The headline counterfactual claim, end to end: killing the
