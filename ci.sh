@@ -2,7 +2,7 @@
 # Local CI gate: formatting, release build, full test suite (incl. doc
 # tests and every member crate's tests), warning-free clippy, the chaos
 # determinism smoke, the crash/resume smoke, the trace determinism
-# smoke, the trace and journal byte pins (corpus/persist), the
+# smoke, the trace, journal and breaker byte pins (corpus/persist), the
 # cross-run diff smoke (self-diff empty, cross-seed divergence
 # deterministic, corpus replay byte-identical), the counterfactual SPOF smoke (seeded sweeps
 # byte-identical across runs and worker counts, and matching the
@@ -51,6 +51,9 @@ cargo run -q --release -- chaos --seed 3 --profile hostile --scale 0.01 --breake
 cargo run -q --release -- chaos --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_b"
 diff -u "$breaker_a" "$breaker_b"
 grep -q "circuit breakers" "$breaker_a"
+# The diff above compares two runs of one commit; the pin was taken from
+# the stdout an earlier commit wrote.
+python3 corpus/persist/check_pins.py breaker "$breaker_a"
 
 echo "== resume smoke: crash at half-campaign, resume, identical fingerprint =="
 resume_dir="$(mktemp -d)"

@@ -2,7 +2,7 @@
 
 usage: python3 corpus/persist/check_pins.py KIND FILE [KIND FILE ...]
 
-KIND names a line of fingerprints-seed7.txt (`trace`, `journal`). Exits
+KIND names a line of fingerprints-seed7.txt (`trace`, `journal`, `breaker`). Exits
 nonzero, naming each mismatch, when a file's fingerprint or size differs
 from its pin.
 """

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use govdns_model::{DomainName, Message, Rcode, RecordType, Soa};
-use govdns_simnet::{CacheEntry, DeliveryOutcome, DeliveryTrace, SimNetwork, StubResolver};
+use govdns_simnet::{CacheEntry, SimNetwork, StubResolver};
 use govdns_telemetry::{Counter, Histogram, Registry};
 use govdns_trace::{Step, TraceData, WorkerTracer};
 
@@ -618,6 +618,13 @@ impl DomainProbe {
         self.servers.iter().any(ServerProbe::serves_zone)
     }
 
+    /// The second-round rule (§III-B): the parent listed nameservers but
+    /// none answered authoritatively — maybe transiently, so the child
+    /// side is worth re-probing.
+    pub fn needs_second_round(&self) -> bool {
+        self.parent_nonempty() && !self.has_authoritative_answer()
+    }
+
     /// The *Degraded* outcome class: the domain did answer, but only
     /// after retries or a second probing round — measurably flaky, which
     /// a clean/dead binary classification would hide.
@@ -707,18 +714,6 @@ impl DomainClass {
             DomainClass::Degraded => "degraded",
             DomainClass::Authoritative => "authoritative",
         }
-    }
-
-    /// Parses a wire label back into a class.
-    pub fn parse(s: &str) -> Option<DomainClass> {
-        Some(match s {
-            "unreachable" => DomainClass::Unreachable,
-            "removed" => DomainClass::Removed,
-            "stale" => DomainClass::Stale,
-            "degraded" => DomainClass::Degraded,
-            "authoritative" => DomainClass::Authoritative,
-            _ => return None,
-        })
     }
 
     /// Every class, funnel order — for per-class tally tables.
@@ -1093,9 +1088,10 @@ impl<'n> ProbeClient<'n> {
         self.round.set(QueryRound::Round1);
     }
 
-    /// One exchange with `dst`, gated by the destination's circuit
-    /// breaker (if a bank is attached) and retried under the client's
-    /// [`RetryPolicy`]. A denied admission short-circuits to
+    /// One NS exchange with `dst`: admitted by the destination's circuit
+    /// breaker (if a bank is attached), charged to the rate limiter,
+    /// retried under the client's [`RetryPolicy`], and settled with the
+    /// breaker. A denied admission short-circuits to
     /// [`ResponseClass::Skipped`] with zero attempts — nothing is sent
     /// and the rate limiter is not charged.
     fn send(
@@ -1125,188 +1121,21 @@ impl<'n> ProbeClient<'n> {
                 BreakerAdmission::Allowed => {}
             }
         }
-        let (class, attempts) = self.send_inner(dst, qname, probe);
-        self.breaker_settle(dst, rank, &class);
-        (class, attempts)
-    }
-
-    /// Records an admitted exchange's final class with the breaker bank
-    /// and emits any transition it caused (telemetry, trace event, and
-    /// the trip's flight-recorder dump).
-    fn breaker_settle(&self, dst: Ipv4Addr, rank: u32, class: &ResponseClass) {
-        let Some(bank) = &self.breakers else { return };
-        if let Some(transition) = bank.on_result(dst, rank, class.is_retryable()) {
-            if let Some(sink) = &self.telemetry {
-                sink.tally_transition(transition);
-            }
-            let label = match transition {
-                BreakerTransition::Tripped => "tripped",
-                BreakerTransition::Reclosed => "reclosed",
-                BreakerTransition::Reopened => "reopened",
-            };
-            self.trace(|| TraceData::Breaker { dst, transition: label.into() });
-            if matches!(transition, BreakerTransition::Tripped) {
-                self.trace_dump("breaker_trip");
-            }
-        }
-    }
-
-    /// One wave of independent exchanges — every serving address of one
-    /// nameserver host at the same referral depth, probed against the
-    /// network as a batch instead of strictly one at a time. First
-    /// attempts for all admitted destinations are delivered together
-    /// ([`SimNetwork::deliver_batch`]); per-destination processing then
-    /// runs in input order, so observations, limiter charges, retry
-    /// accounting, and trace events are identical to sequential
-    /// [`send`](Self::send) calls over the same addresses.
-    ///
-    /// Falls back to the sequential path when the fan-out is trivial
-    /// (fewer than two addresses) or contains duplicate destinations,
-    /// whose breaker and attempt accounting would interleave.
-    fn send_batch(
-        &self,
-        dsts: &[Ipv4Addr],
-        qname: &DomainName,
-        probe: &mut DomainProbe,
-    ) -> Vec<(ResponseClass, u32)> {
-        let distinct =
-            dsts.len() >= 2 && dsts.iter().enumerate().all(|(i, a)| !dsts[..i].contains(a));
-        if !distinct {
-            return dsts.iter().map(|&dst| self.send(dst, qname, probe)).collect();
-        }
-        let rank = self.round.get().rank();
-        // Phase A: breaker admissions, decided up front. Distinct
-        // destinations hold independent breaker slots, so no exchange
-        // in this wave can change another's admission; the admission
-        // *events* are deferred to phase C so the trace reads exactly
-        // like the sequential walk.
-        let admissions: Vec<BreakerAdmission> = match &self.breakers {
-            Some(bank) => dsts.iter().map(|&dst| bank.admit(dst, rank)).collect(),
-            None => vec![BreakerAdmission::Allowed; dsts.len()],
-        };
-        // Phase B: one shared query message (the id is observable
-        // nowhere in an outcome), first attempts for every admitted
-        // destination delivered as a single wave.
-        let q = Message::query((probe.queries % 0xFFFF) as u16, qname.clone(), RecordType::Ns);
-        let wave: Vec<(Ipv4Addr, u32)> = dsts
-            .iter()
-            .zip(&admissions)
-            .filter(|(_, a)| !matches!(a, BreakerAdmission::Denied))
-            .map(|(&dst, _)| (dst, self.take_attempt(dst, qname)))
-            .collect();
-        let mut delivered = self.network.deliver_batch(&q, &wave).into_iter();
-        // Phase C: per-destination bookkeeping in input order —
-        // admission events, the limiter charge, the stored first
-        // attempt, live retries, breaker settlement — exactly as the
-        // sequential path emits them.
-        dsts.iter()
-            .zip(&admissions)
-            .map(|(&dst, admission)| {
-                match admission {
-                    BreakerAdmission::Denied => {
-                        let class = ResponseClass::Skipped;
-                        if let Some(sink) = &self.telemetry {
-                            sink.tally(&class);
-                            sink.breaker_denied.inc();
-                        }
-                        self.trace(|| TraceData::BreakerDenied { dst });
-                        return (class, 0);
-                    }
-                    BreakerAdmission::Trial => {
-                        if let Some(sink) = &self.telemetry {
-                            sink.breaker_half_open.inc();
-                        }
-                        self.trace(|| TraceData::BreakerTrial { dst });
-                    }
-                    BreakerAdmission::Allowed => {}
-                }
-                let (out, delivery) = delivered.next().expect("one delivery per admitted dst");
-                let attempt = wave.iter().find(|(d, _)| *d == dst).expect("admitted dst in wave").1;
-                self.limiter.acquire_for(self.round.get(), Some(dst));
-                self.trace(|| TraceData::Charge {
-                    round: self.round.get().as_str().into(),
-                    dst: Some(dst),
-                });
-                let (class, attempts) =
-                    self.exchange_loop(dst, qname, probe, Some((attempt, out, delivery)));
-                self.breaker_settle(dst, rank, &class);
-                (class, attempts)
-            })
-            .collect()
-    }
-
-    /// The breaker-free exchange: charges the limiter, delivers, and
-    /// retries transient failures within the retry budget.
-    fn send_inner(
-        &self,
-        dst: Ipv4Addr,
-        qname: &DomainName,
-        probe: &mut DomainProbe,
-    ) -> (ResponseClass, u32) {
         self.limiter.acquire_for(self.round.get(), Some(dst));
         self.trace(|| TraceData::Charge {
             round: self.round.get().as_str().into(),
             dst: Some(dst),
         });
-        self.exchange_loop(dst, qname, probe, None)
-    }
-
-    /// Takes the next cumulative attempt number for `(dst, qname)`.
-    /// Carried across rounds, this is what the fault plan sees — it is
-    /// how a flapping server's recovery threshold is eventually crossed.
-    fn take_attempt(&self, dst: Ipv4Addr, qname: &DomainName) -> u32 {
-        let mut map = self.attempts.borrow_mut();
-        let by_name = map.entry(dst).or_default();
-        // Clone the qname only on the pair's first attempt; every
-        // later lookup hashes the existing key in place.
-        if !by_name.contains_key(qname) {
-            by_name.insert(qname.clone(), 0);
-        }
-        let slot = by_name.get_mut(qname).expect("just inserted");
-        let now = *slot;
-        *slot += 1;
-        now
-    }
-
-    /// The retry loop of one charged exchange. `pre` carries a first
-    /// attempt already delivered as part of a batch wave (its attempt
-    /// number and the network's verdict); the loop consumes it before
-    /// falling back to live deliveries for any retries.
-    fn exchange_loop(
-        &self,
-        dst: Ipv4Addr,
-        qname: &DomainName,
-        probe: &mut DomainProbe,
-        mut pre: Option<(u32, DeliveryOutcome, DeliveryTrace)>,
-    ) -> (ResponseClass, u32) {
+        // Built once and reused across retries: the message id is
+        // observable nowhere in an outcome, so re-sending the same bytes
+        // is indistinguishable from re-encoding a fresh message per
+        // attempt.
+        let q = Message::query((probe.queries % 0xFFFF) as u16, qname.clone(), RecordType::Ns);
         let mut attempts_here = 0u32;
-        // Built once on the first live delivery and reused across
-        // retries: the message id is observable nowhere in an outcome,
-        // so re-sending the same bytes is indistinguishable from
-        // re-encoding a fresh message per attempt.
-        let mut query: Option<Message> = None;
-        loop {
-            let (attempt, out, delivery) = match pre.take() {
-                Some((attempt, out, delivery)) => {
-                    // The batch wave already delivered this attempt;
-                    // emit the event the live path would have.
-                    self.trace(|| TraceData::Send { dst, attempt });
-                    (attempt, out, delivery)
-                }
-                None => {
-                    let attempt = self.take_attempt(dst, qname);
-                    let q = query.get_or_insert_with(|| {
-                        Message::query(
-                            (probe.queries % 0xFFFF) as u16,
-                            qname.clone(),
-                            RecordType::Ns,
-                        )
-                    });
-                    self.trace(|| TraceData::Send { dst, attempt });
-                    let (out, delivery) = self.network.deliver_attempt_traced(dst, q, attempt);
-                    (attempt, out, delivery)
-                }
-            };
+        let class = loop {
+            let attempt = self.take_attempt(dst, qname);
+            self.trace(|| TraceData::Send { dst, attempt });
+            let (out, delivery) = self.network.deliver_attempt_traced(dst, &q, attempt);
             probe.queries += 1;
             probe.elapsed_ms = probe.elapsed_ms.saturating_add(out.elapsed_ms());
             let class = ResponseClass::of(out.reply(), qname);
@@ -1337,7 +1166,7 @@ impl<'n> ProbeClient<'n> {
                         sink.retry_recovered.inc();
                     }
                 }
-                return (class, attempts_here);
+                break class;
             }
             if attempts_here >= self.retry.max_attempts {
                 if attempts_here > 1 {
@@ -1346,14 +1175,14 @@ impl<'n> ProbeClient<'n> {
                     }
                     self.trace_dump_once("retry_exhausted");
                 }
-                return (class, attempts_here);
+                break class;
             }
             if !self.limiter.try_acquire_retry(dst, self.retry.per_destination_budget) {
                 if let Some(sink) = &self.telemetry {
                     sink.retry_budget_denied.inc();
                 }
                 self.trace(|| TraceData::RetryDenied { dst });
-                return (class, attempts_here);
+                break class;
             }
             let backoff = self.retry.backoff_ms(dst, qname, attempts_here);
             probe.elapsed_ms = probe.elapsed_ms.saturating_add(backoff);
@@ -1366,7 +1195,47 @@ impl<'n> ProbeClient<'n> {
                 attempt: attempts_here,
                 ms: u64::from(backoff),
             });
+        };
+        self.breaker_settle(dst, rank, &class);
+        (class, attempts_here)
+    }
+
+    /// Records an admitted exchange's final class with the breaker bank
+    /// and emits any transition it caused (telemetry, trace event, and
+    /// the trip's flight-recorder dump).
+    fn breaker_settle(&self, dst: Ipv4Addr, rank: u32, class: &ResponseClass) {
+        let Some(bank) = &self.breakers else { return };
+        if let Some(transition) = bank.on_result(dst, rank, class.is_retryable()) {
+            if let Some(sink) = &self.telemetry {
+                sink.tally_transition(transition);
+            }
+            let label = match transition {
+                BreakerTransition::Tripped => "tripped",
+                BreakerTransition::Reclosed => "reclosed",
+                BreakerTransition::Reopened => "reopened",
+            };
+            self.trace(|| TraceData::Breaker { dst, transition: label.into() });
+            if matches!(transition, BreakerTransition::Tripped) {
+                self.trace_dump("breaker_trip");
+            }
         }
+    }
+
+    /// Takes the next cumulative attempt number for `(dst, qname)`.
+    /// Carried across rounds, this is what the fault plan sees — it is
+    /// how a flapping server's recovery threshold is eventually crossed.
+    fn take_attempt(&self, dst: Ipv4Addr, qname: &DomainName) -> u32 {
+        let mut map = self.attempts.borrow_mut();
+        let by_name = map.entry(dst).or_default();
+        // Clone the qname only on the pair's first attempt; every
+        // later lookup hashes the existing key in place.
+        if !by_name.contains_key(qname) {
+            by_name.insert(qname.clone(), 0);
+        }
+        let slot = by_name.get_mut(qname).expect("just inserted");
+        let now = *slot;
+        *slot += 1;
+        now
     }
 
     /// Resolves a hostname, charging the probe for the side queries.
@@ -1510,14 +1379,9 @@ impl<'n> ProbeClient<'n> {
                 Some(glued) => glued.clone(),
                 None => self.side_resolve(&host, probe),
             };
-            // All addresses of this host sit at the same referral depth
-            // and are independent queries — one batch wave against the
-            // network; answer processing is pure bookkeeping and runs
-            // after, in address order, exactly as the sequential loop
-            // interleaved it.
-            let outcomes = self.send_batch(&addrs, domain, probe);
             let mut observations = Vec::with_capacity(addrs.len());
-            for (&addr, (class, attempts)) in addrs.iter().zip(outcomes) {
+            for &addr in &addrs {
+                let (class, attempts) = self.send(addr, domain, probe);
                 if let ResponseClass::Authoritative(targets) = &class {
                     for t in targets {
                         if !probe.child_ns.contains(t) {
@@ -1555,10 +1419,14 @@ mod tests {
         s.parse().unwrap()
     }
 
+    const MULTI_LIVE: Ipv4Addr = Ipv4Addr::new(10, 5, 0, 1);
+    const MULTI_DEAD: Ipv4Addr = Ipv4Addr::new(10, 5, 0, 2);
+
     /// root → zz → gov.zz, with one healthy child (a.gov.zz), one stale
     /// child (stale.gov.zz, dead NS), one centrally hosted child
-    /// (central.gov.zz, served by the gov.zz servers themselves), and a
-    /// deeper tree under inter.gov.zz.
+    /// (central.gov.zz, served by the gov.zz servers themselves), a
+    /// deeper tree under inter.gov.zz, and a child whose one nameserver
+    /// host has two addresses, one live and one unrouted (multi.gov.zz).
     fn network() -> (SimNetwork, Vec<Ipv4Addr>) {
         let mut net = SimNetwork::new(3);
         let root_ip = Ipv4Addr::new(10, 0, 0, 1);
@@ -1600,6 +1468,10 @@ mod tests {
         // Dead intermediate with a child below it.
         gov.add_ns(n("inter.gov.zz"), n("ns1.inter.gov.zz"));
         gov.add_glue(n("ns1.inter.gov.zz"), inter_ip);
+        // One host, two addresses: the first serves, the second is unrouted.
+        gov.add_ns(n("multi.gov.zz"), n("ns1.multi.gov.zz"));
+        gov.add_glue(n("ns1.multi.gov.zz"), MULTI_LIVE);
+        gov.add_glue(n("ns1.multi.gov.zz"), MULTI_DEAD);
 
         let mut central = Zone::new(n("central.gov.zz"));
         central.add_ns(n("central.gov.zz"), n("ns1.gov.zz"));
@@ -1614,6 +1486,14 @@ mod tests {
         a.add_a(n("ns1.a.gov.zz"), a_ip);
         a.add_a(n("ns2.a.gov.zz"), a_ip);
         net.add_server(AuthoritativeServer::new(a_ip, ServerBehavior::Responsive).with_zone(a));
+
+        let mut multi = Zone::new(n("multi.gov.zz"));
+        multi.add_ns(n("multi.gov.zz"), n("ns1.multi.gov.zz"));
+        multi.add_a(n("ns1.multi.gov.zz"), MULTI_LIVE);
+        multi.add_a(n("ns1.multi.gov.zz"), MULTI_DEAD);
+        net.add_server(
+            AuthoritativeServer::new(MULTI_LIVE, ServerBehavior::Responsive).with_zone(multi),
+        );
 
         // inter_ip is intentionally unrouted: the intermediate is dead.
         let _ = inter_ip;
@@ -1797,7 +1677,7 @@ mod tests {
             ));
             let c = client(&net, roots).with_retry(RetryPolicy::adaptive());
             let mut p = c.probe(&n("stale.gov.zz"));
-            if p.parent_nonempty() && !p.has_authoritative_answer() {
+            if p.needs_second_round() {
                 c.retry_child_side(&mut p);
             }
             assert!(!p.has_authoritative_answer(), "seed {seed} revived a dead zone");
@@ -1985,5 +1865,71 @@ mod tests {
             .map_or(0, |&(_, count)| count);
         assert!(charged > 0, "the tripping exchange itself is charged");
         assert_eq!(charged, delivered);
+    }
+
+    #[test]
+    fn multi_address_host_probes_each_address_in_order_behind_its_own_breaker() {
+        let (net, roots) = network();
+        let registry = Registry::new();
+        let limiter = RateLimiter::with_telemetry(10_000, None, &registry);
+        let bank = BreakerBank::new(BreakerPolicy::guarded());
+        let c = ProbeClient::new(&net, roots, limiter.clone())
+            .with_telemetry(&registry)
+            .with_retry(RetryPolicy::adaptive())
+            .with_breakers(bank.clone());
+        let domain = n("multi.gov.zz");
+        let observed = |p: &DomainProbe| -> Vec<(Ipv4Addr, &'static str, u32)> {
+            assert_eq!(p.servers.len(), 1, "one host: {:?}", p.servers);
+            let s = &p.servers[0];
+            assert_eq!(s.addrs, vec![MULTI_LIVE, MULTI_DEAD]);
+            s.observations.iter().map(|o| (o.addr, o.class.label(), o.attempts)).collect()
+        };
+
+        // Three probes: each sends the live address one exchange and the
+        // dead one an exchange of three attempts; the third failed
+        // exchange trips the dead address's breaker (threshold 3).
+        for _ in 0..3 {
+            let p = c.probe(&domain);
+            assert!(p.has_authoritative_answer());
+            assert_eq!(
+                observed(&p),
+                vec![(MULTI_LIVE, "authoritative", 1), (MULTI_DEAD, "timeout", 3)]
+            );
+        }
+        let phase_of = |addr: Ipv4Addr| {
+            bank.snapshot().iter().find(|s| s.addr == addr).map(|s| (s.phase, s.trips, s.denied))
+        };
+        assert_eq!(phase_of(MULTI_LIVE), Some((BreakerPhase::Closed, 0, 0)));
+        assert_eq!(phase_of(MULTI_DEAD), Some((BreakerPhase::Open, 1, 0)));
+
+        // Still round 1, inside the cooldown: the dead address is denied
+        // without sending, the live one is unaffected.
+        let p = c.probe(&domain);
+        assert_eq!(
+            observed(&p),
+            vec![(MULTI_LIVE, "authoritative", 1), (MULTI_DEAD, "skipped", 0)]
+        );
+        assert_eq!(phase_of(MULTI_DEAD), Some((BreakerPhase::Open, 1, 1)));
+
+        // Per destination: the live address took four NS exchanges and
+        // four SOA fetches; the dead one three first attempts and two
+        // retries each, nothing for the denied exchange.
+        let charged = |addr: Ipv4Addr| {
+            limiter
+                .export_state()
+                .per_destination
+                .iter()
+                .find(|(a, _)| *a == addr)
+                .map_or(0, |&(_, count)| count)
+        };
+        assert_eq!(charged(MULTI_LIVE), 8);
+        assert_eq!(charged(MULTI_DEAD), 9);
+        assert_eq!(limiter.retries_charged(MULTI_LIVE), 0);
+        assert_eq!(limiter.retries_charged(MULTI_DEAD), 6);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["probe.breaker.tripped"], 1);
+        assert_eq!(snap.counters["probe.breaker.denied"], 1);
+        assert_eq!(snap.counters["probe.class.skipped"], 1);
+        assert_eq!(snap.counters["probe.retry.exhausted"], 3);
     }
 }

@@ -345,6 +345,19 @@ pub fn run_campaign_with(
     let limiter = RateLimiter::with_telemetry(config.max_qps, config.destination_cap, &registry);
     *ctl.limiter.lock() = Some(limiter.clone());
     let bank = BreakerBank::new(config.breaker);
+    type CacheExport = Vec<((DomainName, RecordType), CacheEntry)>;
+    // A journal checkpoint: the shared limiter, traffic, fault and
+    // breaker state as of now, plus the given resolver warmth.
+    let checkpoint = |probes_done: u64, cache: CacheExport, clock_s: u64| Checkpoint {
+        probes_done,
+        limiter: limiter.export_state(),
+        traffic: campaign.network.stats(),
+        faults: campaign.network.fault_stats(),
+        net_per_destination: campaign.network.per_destination_snapshot(),
+        cache,
+        clock_s,
+        breakers: bank.snapshot(),
+    };
     let workers = config.workers.max(1);
     registry.gauge("runner.workers").set(workers as i64);
     // Marker gauge for dashboards and regression baselines: this build's
@@ -417,16 +430,11 @@ pub fn run_campaign_with(
                 w.probe(i as u64, probe);
             }
             if resume_point > 0 {
-                w.checkpoint(&Checkpoint {
-                    probes_done: resume_point as u64,
-                    limiter: limiter.export_state(),
-                    traffic: campaign.network.stats(),
-                    faults: campaign.network.fault_stats(),
-                    net_per_destination: campaign.network.per_destination_snapshot(),
-                    cache: initial_cache.clone().unwrap_or_default(),
-                    clock_s: initial_clock,
-                    breakers: bank.snapshot(),
-                });
+                w.checkpoint(&checkpoint(
+                    resume_point as u64,
+                    initial_cache.clone().unwrap_or_default(),
+                    initial_clock,
+                ));
                 w.resumed(resume_point as u64);
             }
             Some(w)
@@ -469,7 +477,7 @@ pub fn run_campaign_with(
     let busy_slots: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     // Per-worker resolver state, deposited once at worker exit and
     // merged into the journal's final checkpoint after the scope joins.
-    type ExitState = (Vec<((DomainName, RecordType), CacheEntry)>, u64);
+    type ExitState = (CacheExport, u64);
     let exit_state: Vec<Mutex<Option<ExitState>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
 
@@ -508,16 +516,6 @@ pub fn run_campaign_with(
                     client.set_clock_s(initial_clock);
                     client.import_cache(cache.clone());
                 }
-                let capture = |done: u64| Checkpoint {
-                    probes_done: done,
-                    limiter: limiter.export_state(),
-                    traffic: campaign.network.stats(),
-                    faults: campaign.network.fault_stats(),
-                    net_per_destination: campaign.network.per_destination_snapshot(),
-                    cache: client.export_cache(),
-                    clock_s: client.clock_s(),
-                    breakers: bank.snapshot(),
-                };
                 let busy_start = Instant::now();
                 // Chunk-claimed distribution: grab a contiguous run of
                 // domains per `fetch_add` while work is plentiful, fall
@@ -537,13 +535,7 @@ pub fn run_campaign_with(
                         let Some(d) = discovered.get(i) else { break };
                         client.trace_begin(i as u64, &d.name);
                         let mut probe = client.probe(&d.name);
-                        // Second round: parent listed nameservers, but no
-                        // authoritative answer materialized — maybe
-                        // transient (§III-B re-probes these).
-                        if config.second_round
-                            && probe.parent_nonempty()
-                            && !probe.has_authoritative_answer()
-                        {
+                        if config.second_round && probe.needs_second_round() {
                             let retry_span = registry.span("round2");
                             client.retry_child_side(&mut probe);
                             retry_span.finish();
@@ -563,7 +555,11 @@ pub fn run_campaign_with(
                         if let Some(journal) = journal {
                             journal.item(i as u64, Arc::clone(&probe));
                             if done.is_multiple_of(checkpoint_every) {
-                                journal.side(Box::new(capture(done as u64)));
+                                journal.side(Box::new(checkpoint(
+                                    done as u64,
+                                    client.export_cache(),
+                                    client.clock_s(),
+                                )));
                             }
                         }
                         *slot.lock() = Some(probe);
@@ -640,16 +636,11 @@ pub fn run_campaign_with(
                 }
             }
         }
-        w.checkpoint(&Checkpoint {
-            probes_done: completed.load(Ordering::Relaxed) as u64,
-            limiter: limiter.export_state(),
-            traffic: campaign.network.stats(),
-            faults: campaign.network.fault_stats(),
-            net_per_destination: campaign.network.per_destination_snapshot(),
-            cache: cache.into_iter().collect(),
+        w.checkpoint(&checkpoint(
+            completed.load(Ordering::Relaxed) as u64,
+            cache.into_iter().collect(),
             clock_s,
-            breakers: bank.snapshot(),
-        });
+        ));
         if probe_limit == total {
             w.complete(total as u64);
         }

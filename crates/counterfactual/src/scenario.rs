@@ -57,29 +57,6 @@ impl ScenarioKind {
             ScenarioKind::Compound => "compound",
         }
     }
-
-    /// Parses [`as_str`](Self::as_str) output.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "provider" => ScenarioKind::Provider,
-            "asn" => ScenarioKind::Asn,
-            "prefix" => ScenarioKind::Prefix,
-            "cctld" => ScenarioKind::Cctld,
-            "compound" => ScenarioKind::Compound,
-            _ => return None,
-        })
-    }
-
-    /// Every kind, enumeration order.
-    pub fn all() -> [ScenarioKind; 5] {
-        [
-            ScenarioKind::Provider,
-            ScenarioKind::Asn,
-            ScenarioKind::Prefix,
-            ScenarioKind::Cctld,
-            ScenarioKind::Compound,
-        ]
-    }
 }
 
 impl std::fmt::Display for ScenarioKind {
@@ -501,14 +478,6 @@ mod tests {
             "provider:cloudflare.com"
         );
         assert_eq!(scenario(ScenarioKind::Asn, "AS64500", 1).id(), "asn:AS64500");
-    }
-
-    #[test]
-    fn kind_labels_roundtrip() {
-        for k in ScenarioKind::all() {
-            assert_eq!(ScenarioKind::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(ScenarioKind::parse("meteor"), None);
     }
 
     #[test]

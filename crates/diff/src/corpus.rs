@@ -152,7 +152,7 @@ impl CorpusCase {
                 s.scale_ppm,
                 match s.chaos {
                     None => "null".to_string(),
-                    Some((profile, seed)) => format!("[\"{}\",{seed}]", profile_label(profile)),
+                    Some((profile, seed)) => format!("[\"{profile}\",{seed}]"),
                 },
                 s.max_qps,
                 s.second_round,
@@ -188,7 +188,7 @@ impl CorpusCase {
         let doc = parse(text)?;
         let string = |v: &Value, key: &str| v.field(key, Value::as_str).map(str::to_owned);
         let chaos = doc.opt_field("chaos", |pair| match pair.as_arr()? {
-            [label, seed] => Some((parse_profile(label.as_str()?)?, seed.as_u64()?)),
+            [label, seed] => Some((label.as_str()?.parse().ok()?, seed.as_u64()?)),
             _ => None,
         })?;
         let retry = doc.field("retry", |r| -> Result<RetryPolicy, String> {
@@ -288,7 +288,7 @@ impl CorpusCase {
                 d.domain.parse().map_err(|_| format!("bad domain name {:?}", d.domain))?;
             client.trace_begin(i as u64, &name);
             let mut probe = client.probe(&name);
-            if s.second_round && probe.parent_nonempty() && !probe.has_authoritative_answer() {
+            if s.second_round && probe.needs_second_round() {
                 client.retry_child_side(&mut probe);
             }
             client.trace_end();
@@ -362,25 +362,6 @@ pub struct ReplayMismatch {
     pub domain: String,
     /// Where and how it first diverged.
     pub detail: String,
-}
-
-/// Stable corpus-file label for a chaos profile.
-pub fn profile_label(profile: ChaosProfile) -> &'static str {
-    match profile {
-        ChaosProfile::Flaky => "flaky",
-        ChaosProfile::Congested => "congested",
-        ChaosProfile::Hostile => "hostile",
-    }
-}
-
-/// Parses a corpus-file chaos label.
-pub fn parse_profile(label: &str) -> Option<ChaosProfile> {
-    Some(match label {
-        "flaky" => ChaosProfile::Flaky,
-        "congested" => ChaosProfile::Congested,
-        "hostile" => ChaosProfile::Hostile,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]

@@ -49,8 +49,7 @@ mod rundiff;
 mod smelldiff;
 
 pub use corpus::{
-    parse_profile, profile_label, CorpusCase, CorpusDomain, ReplayMismatch, ReplayOutcome,
-    ReplaySetup, CAPTURE_CAP,
+    CorpusCase, CorpusDomain, ReplayMismatch, ReplayOutcome, ReplaySetup, CAPTURE_CAP,
 };
 pub use dataset::{ClassTransition, DatasetDiff, DatasetView, DomainRow, NamedShift, RttSummary};
 pub use rundiff::{

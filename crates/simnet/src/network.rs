@@ -574,26 +574,6 @@ impl SimNetwork {
         (outcome, DeliveryTrace { fault, lost })
     }
 
-    /// Delivers one query to a wave of independent destinations — the
-    /// same-depth fan-out of a referral walk issued as a batch (the
-    /// shape ZDNS-style scanners use to keep sockets full). Attempts
-    /// are delivered through [`deliver_attempt_traced`] in input order,
-    /// so per-destination ordinals — and therefore every fault-plan
-    /// decision — match a sequential walk visiting the same
-    /// destinations in the same order.
-    ///
-    /// [`deliver_attempt_traced`]: SimNetwork::deliver_attempt_traced
-    pub fn deliver_batch(
-        &self,
-        query: &Message,
-        attempts: &[(Ipv4Addr, u32)],
-    ) -> Vec<(DeliveryOutcome, DeliveryTrace)> {
-        attempts
-            .iter()
-            .map(|&(dst, attempt)| self.deliver_attempt_traced(dst, query, attempt))
-            .collect()
-    }
-
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> TrafficStats {
         self.stats.snapshot()
@@ -963,12 +943,12 @@ mod tests {
         // engages at the ninth: an inherited plan would refuse in the
         // first half, inherited ordinals all through the second.
         let sequence = |net: &SimNetwork| {
-            let mut out = net.deliver_batch(
-                &q,
-                &[(unrouted, 0), (a, 0), (a, 1), (a, 2), (a, 3), (a, 4), (a, 5)],
-            );
+            let deliver = |attempts: &[(Ipv4Addr, u32)]| -> Vec<_> {
+                attempts.iter().map(|&(dst, i)| net.deliver_attempt_traced(dst, &q, i)).collect()
+            };
+            let mut out = deliver(&[(unrouted, 0), (a, 0), (a, 1), (a, 2), (a, 3), (a, 4), (a, 5)]);
             net.install_faults(Some(burst(8)));
-            out.extend(net.deliver_batch(&q, &[(a, 0); 6]));
+            out.extend(deliver(&[(a, 0); 6]));
             out
         };
 
